@@ -11,12 +11,12 @@
 //                           algorithm proper remains;
 //   <scenario>_dedup_warm : the same warm request with
 //                           deduplicate=true — one view LP per
-//                           isomorphism class instead of one per agent
+//                           exact view orbit instead of one per agent
 //                           (averaging cases only; output bitwise equal
 //                           to the _warm case);
 //   <scenario>_dedup_warm_nosym : the same dedup-on measurement on the
 //                           no-symmetry stress scenario (random), where
-//                           every view class is a singleton — the case
+//                           every view orbit is a singleton — the case
 //                           exists to prove the dedup path bails out to
 //                           the plain per-agent loop and stays at
 //                           parity with dedup-off (speedup_vs_off ≈ 1)
@@ -44,7 +44,7 @@
 // The counters carry the proof that the machinery actually engaged:
 // cache_build_ms / cache_misses from the request's timing breakdown
 // (≈0 on warm cases), the warm/cold wall ratio, and on dedup cases
-// view_classes / lp_solves / dedup_ratio plus speedup_vs_off (warm
+// lp_solves / dedup_ratio plus speedup_vs_off (warm
 // dedup-off ms over warm dedup-on ms). The acceptance criterion of the
 // dedup PR reads this file at --scale full (1e5 agents): the grid
 // scenario must report dedup_ratio >= 0.9 and speedup_vs_off >= 3,
@@ -172,8 +172,8 @@ void run_latency(mmlp::bench::Report& report, const std::string& scenario,
 }
 
 /// Times the deduplicated request on a session whose caches — including
-/// the view-class partition — are already hot, so the case isolates the
-/// per-solve dedup economics (class build cost shows up once, in the
+/// the view-orbit partition — are already hot, so the case isolates the
+/// per-solve dedup economics (orbit build cost shows up once, in the
 /// priming solve, exactly like the other session caches).
 void run_dedup(mmlp::bench::Report& report, const std::string& scenario,
                const mmlp::Instance& instance, SolveRequest request, int reps,
@@ -181,13 +181,12 @@ void run_dedup(mmlp::bench::Report& report, const std::string& scenario,
   request.deduplicate = true;
   SolveResult last;
   Session session(instance);
-  (void)mmlp::engine::solve(session, request);  // prime caches + classes
+  (void)mmlp::engine::solve(session, request);  // prime caches + orbits
   auto& dedup = report.run_case(
       scenario + case_suffix, instance.num_agents(), reps,
       [&] { last = mmlp::engine::solve(session, request); });
   dedup.counters["cache_build_ms"] = last.cache_build_ms;
   dedup.counters["cache_misses"] = static_cast<double>(last.cache_misses);
-  dedup.counters["view_classes"] = last.diagnostics.at("view_classes");
   dedup.counters["lp_solves"] = last.diagnostics.at("lp_solves");
   dedup.counters["dedup_ratio"] = last.diagnostics.at("dedup_ratio");
   dedup.counters["warm_off_ms"] = warm_off_ms;
@@ -526,7 +525,7 @@ int main(int argc, char** argv) {
                 run_pair(report, scenario + "_averaging", instance,
                          {.algorithm = "averaging", .R = 1}, reps);
             // Dedup economics on the same request: the grid scenario
-            // collapses to O(1) view classes; the random scenario is
+            // collapses to O(1) view orbits; the random scenario is
             // the no-symmetry stress case (ratio ~0) whose case name
             // records that it proves singleton-bailout parity.
             run_dedup(report, scenario + "_averaging", instance,

@@ -53,11 +53,6 @@ void attach_averaging_diagnostics(const LocalAveragingResult& averaging,
   }
   result.diagnostics["peak_ball"] = static_cast<double>(peak_ball);
   result.diagnostics["lp_solves"] = static_cast<double>(averaging.lp_solves);
-  if (averaging.view_classes > 0) {
-    result.diagnostics["view_classes"] =
-        static_cast<double>(averaging.view_classes);
-    result.diagnostics["dedup_ratio"] = averaging.dedup_ratio;
-  }
 }
 
 /// Shared body of the selfstab-* entries: replay the request's fault
@@ -143,8 +138,8 @@ SolverRegistry make_builtin() {
           [](Session& session, const SolveRequest& request,
              SolveResult& result) {
             LocalAveragingResult averaging;
+            IncrementalStats stats;
             if (request.incremental) {
-              IncrementalStats stats;
               averaging = local_averaging_incremental(
                   session, averaging_options(request), &stats);
               attach_incremental_diagnostics(stats, result);
@@ -155,6 +150,10 @@ SolverRegistry make_builtin() {
             result.x = averaging.x;
             result.has_solution = true;
             attach_averaging_diagnostics(averaging, result);
+            // A spliced incremental run solved no orbits to report on.
+            if (request.deduplicate && !stats.incremental) {
+              result.diagnostics["dedup_ratio"] = averaging.dedup_ratio;
+            }
             result.diagnostics["R"] = static_cast<double>(request.R);
           },
   });
@@ -265,8 +264,6 @@ SolverRegistry make_builtin() {
             result.diagnostics["lp_solves"] =
                 static_cast<double>(stats.decisions);
             if (request.deduplicate) {
-              result.diagnostics["view_classes"] =
-                  static_cast<double>(stats.view_classes);
               result.diagnostics["dedup_ratio"] = stats.dedup_ratio;
             }
           },
@@ -311,8 +308,6 @@ constexpr std::pair<const char*, const char*> kSurfacedCounters[] = {
     {"simplex.solves", "simplex_solves"},
     {"simplex.pivots", "simplex_pivots"},
     {"bfs.ball_expansions", "bfs_ball_expansions"},
-    {"view_class.canonicalizations", "view_class_canonicalizations"},
-    {"view_class.prehash_skips", "view_class_prehash_skips"},
     {"scratch.leases", "scratch_leases"},
     {"fault.injected", "faults_injected"},
     {"selfstab.rounds_to_legitimate", "rounds_to_legitimate"},

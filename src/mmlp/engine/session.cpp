@@ -11,8 +11,8 @@
 // in place — rebuild the communication graphs only on membership
 // changes, re-BFS only the dirty region of each cached ball set,
 // recompute only the growth-set rows the dirty region touches, and
-// re-canonicalize only the dirty agents of each view-class partition —
-// and restamp everything with the new revision.
+// re-serialize only the dirty agents' views of each view-orbit
+// partition — and restamp everything with the new revision.
 #include "mmlp/engine/session.hpp"
 
 #include <algorithm>
@@ -178,8 +178,8 @@ const ViewClassIndex& Session::view_classes(std::int32_t radius,
   view_class_counters().misses.increment();
   obs::ObsSpan span("session.build_view_classes", "engine");
   WallTimer timer;
-  // Mutable-bound sessions retain the per-agent canonical keys so
-  // apply() can repair the partition instead of rebuilding it.
+  // Mutable-bound sessions retain the per-agent exact keys so apply()
+  // can repair the partition instead of rebuilding it.
   const bool keep_keys = mutable_instance_ != nullptr;
   auto [it, inserted] = view_classes_.emplace(
       key, Stamped<ViewClassIndex>{
@@ -304,8 +304,8 @@ Session::ApplyReport Session::apply(const InstanceDelta& delta) {
     }
     entry.revision = effect.revision;
   }
-  // View classes hash coefficient *values*, so they are dirty under
-  // value-only edits too.
+  // Exact keys serialize coefficient *values*, so view orbits are dirty
+  // under value-only edits too.
   for (auto& [key, entry] : view_classes_) {
     repair_view_class_index(*instance_, balls_.at(key).value, dirty_for(key),
                             entry.value, pool());
@@ -313,13 +313,14 @@ Session::ApplyReport Session::apply(const InstanceDelta& delta) {
     entry.revision = effect.revision;
   }
 
-  // Integrity checksum over the surgical repairs above: recompute a few
-  // evenly spaced balls per cached entry from scratch and compare. The
-  // balls are the root structure (growth sets and view classes derive
-  // from them), so a divergence here is the earliest observable symptom
-  // of a repair bug — and the response is to stop trusting every cache,
-  // not to limp on: drop them wholesale and invalidate the memos, which
-  // turns the bug into cold-cache latency instead of wrong bits.
+  // Integrity spot-check of the surgical repairs above: recompute 4
+  // evenly spaced balls per cached ball entry from scratch and compare
+  // them with the cached ones. The balls are the root structure (growth
+  // sets and view orbits derive from them), so a divergence here is the
+  // earliest observable symptom of a repair bug — and the response is to
+  // stop trusting every cache, not to limp on: drop them wholesale and
+  // invalidate the memos, which turns the bug into cold-cache latency
+  // instead of wrong bits.
   verify_integrity_locked(report);
 
   revision_ = effect.revision;

@@ -43,12 +43,12 @@ struct SolveRequest {
   std::int32_t R = 1;  ///< view radius (averaging, distributed-averaging, sublinear)
   AveragingDamping damping = AveragingDamping::kBetaPerAgent;
   bool collaboration_oblivious = false;  ///< drop party hyperedges from H
-  /// Solve one view LP per isomorphism class of views instead of one per
-  /// agent (safe, averaging, distributed-averaging). Exact-structure
-  /// groups only, so the output stays bitwise identical to the
-  /// non-deduplicated solve; the session caches the class partition per
-  /// (radius, mode). The averaging solvers' diagnostics gain
-  /// view_classes and dedup_ratio (lp_solves is reported always).
+  /// Solve one view LP per exact view orbit instead of one per agent
+  /// (safe, averaging, distributed-averaging). Orbit members have
+  /// bit-identical views, so the output stays bitwise identical to the
+  /// non-deduplicated solve; the session caches the orbit partition per
+  /// (radius, mode). The averaging solvers' diagnostics gain dedup_ratio
+  /// (lp_solves, the orbit count when deduplicating, is reported always).
   bool deduplicate = false;
   /// Re-solve only the dirty region of the deltas applied (via
   /// Session::apply) since the previous solve of the same shape, and
@@ -146,8 +146,8 @@ struct SolveResult {
 
   /// Deltas of the global obs::Registry counters across this request:
   /// simplex_solves / simplex_pivots, bfs_ball_expansions,
-  /// view_class_canonicalizations / view_class_prehash_skips, and
-  /// scratch_leases. Session-global like the cache numbers above, with
+  /// scratch_leases, faults_injected, rounds_to_legitimate, timeouts,
+  /// cancellations and integrity_fallbacks. Session-global like the cache numbers above, with
   /// the same caveat under overlapping solves.
   std::map<std::string, std::int64_t> counters;
 };

@@ -129,7 +129,7 @@ const CancelToken* current_token() noexcept;
 
 /// Cancellation checkpoint: throws CancelledError when the current
 /// thread's active token has expired. Cheap when no token is installed
-/// (one thread-local read). Long serial loops — per-view-class LP
+/// (one thread-local read). Long serial loops — per-view-orbit LP
 /// solves, per-round stabilization steps — call this so deadlines fire
 /// even on a single-thread pool where the bulk scheduler's per-chunk
 /// check never runs.

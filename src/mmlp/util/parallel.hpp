@@ -246,7 +246,7 @@ void chunked_parallel_for(std::size_t count, Body&& body,
   if (target.size() <= 1 || count == 1) {
     // Serial fallback: one checkpoint before the body — long bodies are
     // expected to call cancel::checkpoint() themselves at natural
-    // boundaries (the per-view-class LP loop does).
+    // boundaries (the per-view-orbit LP loop does).
     cancel::checkpoint();
     body(std::size_t{0}, count);
     return;

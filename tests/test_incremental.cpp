@@ -118,6 +118,7 @@ TEST(SessionApply, RepairedCachesMatchFromScratchRecompute) {
       (void)session.balls(r, true);
       (void)session.growth_sets(r, false);
       (void)session.view_classes(r, false);
+      (void)session.view_classes(r, true);
     }
     for (const InstanceDelta& delta : delta_sequence(original)) {
       const engine::Session::ApplyReport report = session.apply(delta);
@@ -141,17 +142,20 @@ TEST(SessionApply, RepairedCachesMatchFromScratchRecompute) {
         EXPECT_EQ(repaired.n_i, fresh.n_i) << name << " r=" << r;
         EXPECT_EQ(repaired.beta, fresh.beta) << name << " r=" << r;
 
-        const ViewClassIndex rebuilt =
-            build_view_class_index(working, balls, r, false);
-        const ViewClassIndex& index = session.view_classes(r, false);
-        EXPECT_EQ(index.class_of, rebuilt.class_of) << name << " r=" << r;
-        EXPECT_EQ(index.orbit_of, rebuilt.orbit_of) << name << " r=" << r;
-        EXPECT_EQ(index.class_rep, rebuilt.class_rep) << name << " r=" << r;
-        EXPECT_EQ(index.orbit_rep, rebuilt.orbit_rep) << name << " r=" << r;
-        EXPECT_EQ(index.class_size, rebuilt.class_size) << name << " r=" << r;
-        EXPECT_EQ(index.orbit_size, rebuilt.orbit_size) << name << " r=" << r;
-        EXPECT_EQ(index.perm_offset, rebuilt.perm_offset) << name;
-        EXPECT_EQ(index.perms, rebuilt.perms) << name;
+        for (const bool oblivious : {false, true}) {
+          const ViewClassIndex rebuilt = build_view_class_index(
+              working, session.balls(r, oblivious), r, oblivious, nullptr,
+              /*keep_keys=*/true);
+          const ViewClassIndex& index = session.view_classes(r, oblivious);
+          EXPECT_EQ(index.orbit_of, rebuilt.orbit_of)
+              << name << " r=" << r << " oblivious=" << oblivious;
+          EXPECT_EQ(index.orbit_rep, rebuilt.orbit_rep)
+              << name << " r=" << r << " oblivious=" << oblivious;
+          EXPECT_EQ(index.orbit_size, rebuilt.orbit_size)
+              << name << " r=" << r << " oblivious=" << oblivious;
+          EXPECT_EQ(index.exact_keys, rebuilt.exact_keys)
+              << name << " r=" << r << " oblivious=" << oblivious;
+        }
       }
     }
   }

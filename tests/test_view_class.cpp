@@ -1,10 +1,8 @@
-// The view-canonicalization layer (core/view_class): key soundness
-// (equal canonical keys must come with a genuine center-preserving view
-// isomorphism — the keys are serialized structures, not hashes, so this
-// is provable per pair), class collapse on symmetric instances, and the
-// dedup solve paths' equality contracts: kExact output is bitwise equal
-// to the dedup-off run on *every* instance, kCanonical output is exactly
-// feasible and keeps the Theorem 3 guarantee.
+// The view-orbit layer (core/view_class): orbit collapse on symmetric
+// instances, orbit members sharing bit-identical views, repair ==
+// rebuild while an edit splits orbits and its reverse re-merges them,
+// and the dedup solve paths' contract — output bitwise equal to the
+// dedup-off run on *every* instance.
 #include "mmlp/core/view_class.hpp"
 
 #include <gtest/gtest.h>
@@ -15,83 +13,51 @@
 
 #include "mmlp/core/local_averaging.hpp"
 #include "mmlp/core/safe.hpp"
-#include "mmlp/core/solution.hpp"
 #include "mmlp/dist/algorithms.hpp"
 #include "mmlp/engine/session.hpp"
 #include "mmlp/gen/grid.hpp"
 #include "mmlp/gen/random_instance.hpp"
-#include "mmlp/lp/maxmin_reduction.hpp"
 #include "test_helpers.hpp"
 
 namespace mmlp {
 namespace {
 
-/// Rows of a view as a sorted multiset of (is_party, entries) with the
-/// local agent ids relabeled through `relabel` (identity = the view's
-/// own indexing). The comparison object behind the isomorphism check.
+/// Rows of a view as a sorted multiset of (is_party, sorted entries) in
+/// the view's own local indexing.
 using Row = std::pair<int, std::vector<std::pair<std::int32_t, double>>>;
 
-std::vector<Row> relabeled_rows(const LocalView& view,
-                                const std::vector<std::int32_t>& relabel) {
+std::vector<Row> sorted_rows(const LocalView& view) {
   std::vector<Row> rows;
-  const auto relabeled = [&](CoefSpan entries, int is_party) {
+  const auto sorted = [](CoefSpan entries, int is_party) {
     Row row{is_party, {}};
     for (const Coef& entry : entries) {
-      row.second.emplace_back(relabel[static_cast<std::size_t>(entry.id)],
-                              entry.value);
+      row.second.emplace_back(entry.id, entry.value);
     }
     std::sort(row.second.begin(), row.second.end());
     return row;
   };
   for (std::size_t r = 0; r < view.resources.size(); ++r) {
-    rows.push_back(relabeled(view.resource_entries(r), 0));
+    rows.push_back(sorted(view.resource_entries(r), 0));
   }
   for (std::size_t p = 0; p < view.parties.size(); ++p) {
-    rows.push_back(relabeled(view.party_entries(p), 1));
+    rows.push_back(sorted(view.party_entries(p), 1));
   }
   std::sort(rows.begin(), rows.end());
   return rows;
 }
 
-std::vector<std::int32_t> identity_relabel(std::size_t n) {
-  std::vector<std::int32_t> relabel(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    relabel[i] = static_cast<std::int32_t>(i);
-  }
-  return relabel;
-}
-
-TEST(CanonicalizeView, DeterministicAndPermutationValid) {
-  const Instance instance = make_grid_instance({.dims = {5, 5}, .torus = true});
-  const Hypergraph h = instance.communication_graph();
-  const LocalView view = extract_view(instance, h, 12, 1);
-  const ViewCanonicalForm a = canonicalize_view(view);
-  const ViewCanonicalForm b = canonicalize_view(view);
-  EXPECT_EQ(a.exact_key, b.exact_key);
-  EXPECT_EQ(a.canonical_key, b.canonical_key);
-  EXPECT_EQ(a.canon_to_local, b.canon_to_local);
-  // canon_to_local is a permutation of the local indices.
-  std::vector<std::int32_t> sorted = a.canon_to_local;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, identity_relabel(view.agents.size()));
-}
-
-TEST(ViewClassIndex, GridTorusCollapsesToFewClasses) {
+TEST(ViewClassIndex, GridTorusCollapsesToFewOrbits) {
   const Instance instance =
       make_grid_instance({.dims = {20, 20}, .torus = true});
   engine::Session session(instance);
   const ViewClassIndex& index = session.view_classes(1, false);
   ASSERT_EQ(index.num_agents(), 400u);
-  // A uniform torus is vertex-transitive: every view is isomorphic, so
-  // the canonical labeling should land on O(1) classes. The exact
-  // orbits split further by the sorted-global-id ordering patterns near
-  // the wrap — into a side-independent number of categories (measured:
-  // 49 for the R=1 von-Neumann structure), so the exact dedup ratio
-  // approaches 1 as the torus grows.
-  EXPECT_LE(index.num_classes(), 8u);
-  EXPECT_LE(index.num_orbits(), 64u);
-  EXPECT_LE(index.num_classes(), index.num_orbits());
-  EXPECT_GE(index.dedup_ratio(DedupScatter::kExact), 0.85);
+  // A uniform torus is vertex-transitive, but the exact orbits split by
+  // the sorted-global-id ordering patterns near the wrap — into a
+  // side-independent number of categories (49 for the R=1 von-Neumann
+  // structure), so the dedup ratio approaches 1 as the torus grows.
+  EXPECT_EQ(index.num_orbits(), 49u);
+  EXPECT_DOUBLE_EQ(index.dedup_ratio(), 1.0 - 49.0 / 400.0);
   // Orbit structure: sizes sum to n, representatives are members.
   std::int64_t total = 0;
   for (const std::int32_t size : index.orbit_size) {
@@ -124,69 +90,6 @@ TEST(ViewClassIndex, OrbitCountIsSideIndependentOnTori) {
   EXPECT_EQ(orbits_small, orbits_large);
 }
 
-TEST(ViewClassIndex, OrbitsNestInsideClasses) {
-  const Instance instance = make_random_instance({.num_agents = 60, .seed = 3});
-  engine::Session session(instance);
-  const ViewClassIndex& index = session.view_classes(1, false);
-  for (std::size_t u = 0; u < index.num_agents(); ++u) {
-    EXPECT_EQ(index.orbit_class[static_cast<std::size_t>(index.orbit_of[u])],
-              index.class_of[u]);
-  }
-}
-
-// Equal canonical keys must certify a genuine center-preserving
-// isomorphism — the anti-false-sharing property. For every non-rep
-// member, relabel both the representative's view and the member's view
-// into canonical indexing via their stored permutations and compare the
-// full row multisets plus the center position.
-TEST(ViewClassIndex, EqualKeysImplyGenuineIsomorphism) {
-  for (const std::uint64_t seed : {1u, 7u, 23u}) {
-    const Instance instance = make_random_instance({
-        .num_agents = 70,
-        .resources_per_agent = 2,
-        .parties_per_agent = 2,
-        .max_support = 3,
-        .seed = seed,
-    });
-    engine::Session session(instance);
-    for (const std::int32_t radius : {1, 2}) {
-      const ViewClassIndex& index = session.view_classes(radius, false);
-      const auto& balls = session.balls(radius, false);
-      for (std::size_t u = 0; u < index.num_agents(); ++u) {
-        const AgentId rep =
-            index.class_rep[static_cast<std::size_t>(index.class_of[u])];
-        if (rep == static_cast<AgentId>(u)) {
-          continue;
-        }
-        const LocalView member_view = extract_view(
-            instance, static_cast<AgentId>(u), radius, balls[u]);
-        const LocalView rep_view =
-            extract_view(instance, rep, radius,
-                         balls[static_cast<std::size_t>(rep)]);
-        ASSERT_EQ(member_view.agents.size(), rep_view.agents.size());
-        // local -> canonical relabelings from the stored permutations.
-        const auto to_canon = [&](std::span<const std::int32_t> perm) {
-          std::vector<std::int32_t> relabel(perm.size());
-          for (std::size_t c = 0; c < perm.size(); ++c) {
-            relabel[static_cast<std::size_t>(perm[c])] =
-                static_cast<std::int32_t>(c);
-          }
-          return relabel;
-        };
-        const auto member_relabel = to_canon(index.perm(static_cast<AgentId>(u)));
-        const auto rep_relabel = to_canon(index.perm(rep));
-        EXPECT_EQ(relabeled_rows(member_view, member_relabel),
-                  relabeled_rows(rep_view, rep_relabel))
-            << "seed " << seed << " R " << radius << " agent " << u;
-        EXPECT_EQ(member_relabel[static_cast<std::size_t>(
-                      member_view.local_index(member_view.center))],
-                  rep_relabel[static_cast<std::size_t>(
-                      rep_view.local_index(rep_view.center))]);
-      }
-    }
-  }
-}
-
 // Members of one exact orbit carry bit-identical local structures (the
 // basis of the bitwise dedup guarantee).
 TEST(ViewClassIndex, OrbitMembersShareExactStructure) {
@@ -201,12 +104,89 @@ TEST(ViewClassIndex, OrbitMembersShareExactStructure) {
         extract_view(instance, static_cast<AgentId>(u), 1, balls[u]);
     const LocalView rep_view = extract_view(
         instance, rep, 1, balls[static_cast<std::size_t>(rep)]);
-    const auto identity = identity_relabel(member_view.agents.size());
-    EXPECT_EQ(relabeled_rows(member_view, identity),
-              relabeled_rows(rep_view, identity));
+    EXPECT_EQ(sorted_rows(member_view), sorted_rows(rep_view));
     EXPECT_EQ(member_view.local_index(member_view.center),
               rep_view.local_index(rep_view.center));
   }
+}
+
+// Repair under an edit that splits orbits and its reverse that
+// re-merges them. Raising a_{78,78} on a 12x12 unit torus splits the
+// orbits 49 -> 62 at R=1 and 121 -> 138 at R=2; the reverse edit restores
+// the original partition. After each apply the repaired partitions must
+// equal a fresh build, and every dedup solve served from them — cold and
+// incremental, centralized and distributed — must equal dedup-off
+// bitwise.
+TEST(ViewClassIndex, RepairSplitsAndRemergesOrbits) {
+  Instance working = make_grid_instance({.dims = {12, 12}, .torus = true});
+  engine::Session session(working);
+  // Radii 1 and 2 serve averaging; radius 3 is the distributed horizon
+  // of R = 1.
+  const std::vector<std::int32_t> radii{1, 2, 3};
+  std::vector<std::vector<std::int32_t>> original_orbits;
+  for (const std::int32_t r : radii) {
+    original_orbits.push_back(session.view_classes(r, false).orbit_of);
+  }
+  EXPECT_EQ(session.view_classes(1, false).num_orbits(), 49u);
+  EXPECT_EQ(session.view_classes(2, false).num_orbits(), 121u);
+  for (const std::int32_t R : {1, 2}) {
+    (void)local_averaging_incremental(session, {.R = R, .deduplicate = true});
+  }
+  (void)distributed_local_averaging_incremental(
+      session, {.R = 1, .deduplicate = true});
+
+  const auto check = [&](const char* step) {
+    for (const std::int32_t r : radii) {
+      const ViewClassIndex& repaired = session.view_classes(r, false);
+      const ViewClassIndex fresh =
+          build_view_class_index(working, session.balls(r, false), r, false);
+      EXPECT_EQ(repaired.orbit_of, fresh.orbit_of) << step << " r=" << r;
+      EXPECT_EQ(repaired.orbit_rep, fresh.orbit_rep) << step << " r=" << r;
+      EXPECT_EQ(repaired.orbit_size, fresh.orbit_size) << step << " r=" << r;
+    }
+    for (const std::int32_t R : {1, 2}) {
+      const std::vector<double> off = local_averaging(working, {.R = R}).x;
+      EXPECT_EQ(local_averaging_with(session, {.R = R, .deduplicate = true}).x,
+                off)
+          << step << " R=" << R;
+      IncrementalStats stats;
+      EXPECT_EQ(local_averaging_incremental(
+                    session, {.R = R, .deduplicate = true}, &stats)
+                    .x,
+                off)
+          << step << " R=" << R;
+      EXPECT_TRUE(stats.incremental) << step << " R=" << R;
+    }
+    const std::vector<double> dist_off =
+        distributed_local_averaging(working, {.R = 1});
+    EXPECT_EQ(
+        distributed_local_averaging_with(session, {.R = 1, .deduplicate = true}),
+        dist_off)
+        << step;
+    IncrementalStats stats;
+    EXPECT_EQ(distributed_local_averaging_incremental(
+                  session, {.R = 1, .deduplicate = true}, nullptr, &stats),
+              dist_off)
+        << step;
+    EXPECT_TRUE(stats.incremental) << step;
+  };
+
+  InstanceDelta split;
+  split.set_usage(78, 78, 1.5);
+  session.apply(split);
+  EXPECT_EQ(session.view_classes(1, false).num_orbits(), 62u);
+  EXPECT_EQ(session.view_classes(2, false).num_orbits(), 138u);
+  check("split");
+
+  InstanceDelta remerge;
+  remerge.set_usage(78, 78, 1.0);
+  session.apply(remerge);
+  for (std::size_t k = 0; k < radii.size(); ++k) {
+    EXPECT_EQ(session.view_classes(radii[k], false).orbit_of,
+              original_orbits[k])
+        << "r=" << radii[k];
+  }
+  check("remerge");
 }
 
 // The headline contract: deduplicated averaging with exact scatter is
@@ -233,32 +213,10 @@ TEST(DedupAveraging, ExactScatterBitwiseEqualEverywhere) {
       EXPECT_EQ(on.view_omega, off.view_omega) << name << " R=" << R;
       EXPECT_EQ(on.beta, off.beta) << name << " R=" << R;
       EXPECT_LE(on.lp_solves, off.lp_solves) << name << " R=" << R;
-      EXPECT_GT(on.view_classes, 0u) << name << " R=" << R;
+      EXPECT_EQ(on.lp_solves, session.view_classes(R, false).num_orbits())
+          << name << " R=" << R;
     }
   }
-}
-
-// Canonical scatter hands every member an exactly optimal, exactly
-// feasible solution of its own view LP, so x̃ stays feasible and the
-// Theorem 3 ratio guarantee still holds (the solution itself may differ
-// from the per-agent run within the degenerate-optimum freedom).
-TEST(DedupAveraging, CanonicalScatterKeepsTheorem3Guarantee) {
-  const Instance instance = make_grid_instance({.dims = {6, 6}, .torus = true});
-  const auto exact = solve_maxmin_simplex(instance);
-  ASSERT_EQ(exact.status, LpStatus::kOptimal);
-  engine::Session session(instance);
-  const LocalAveragingResult result = local_averaging_with(
-      session, {.R = 1,
-                .deduplicate = true,
-                .dedup_scatter = DedupScatter::kCanonical});
-  EXPECT_TRUE(evaluate(instance, result.x).feasible());
-  const double achieved = objective_omega(instance, result.x);
-  ASSERT_GT(achieved, 0.0);
-  EXPECT_LE(exact.omega / achieved, result.ratio_bound + 1e-6);
-  // Canonical grouping can only merge orbits further.
-  const ViewClassIndex& index = session.view_classes(1, false);
-  EXPECT_LE(index.num_classes(), index.num_orbits());
-  EXPECT_EQ(result.lp_solves, index.num_classes());
 }
 
 TEST(DedupAveraging, SingletonClassesFallBackToPerAgentSolves) {
@@ -276,7 +234,6 @@ TEST(DedupAveraging, SingletonClassesFallBackToPerAgentSolves) {
   const LocalAveragingResult on =
       local_averaging_with(session, {.R = 1, .deduplicate = true});
   EXPECT_EQ(on.x, off.x);
-  EXPECT_GE(on.lp_solves, on.view_classes);
   EXPECT_LE(on.lp_solves, 40u);
 }
 
