@@ -176,6 +176,7 @@ LocalAveragingResult local_averaging_impl(
   result.beta = sets.beta;
   result.ball_size = sets.ball_size;
   result.ratio_bound = sets.ratio_bound();
+  result.peak_ball = sets.peak_ball;
 
   // x̃_j = (β_j / |V^j|) Σ_{u∈V^j} x^u_j, gathered in parallel: agent j
   // owns its own sum and reads x^u_j for u ∈ V^j (u ∈ V^j ⇔ j ∈ V^u —
@@ -257,31 +258,25 @@ std::string averaging_fingerprint(const LocalAveragingOptions& options) {
   return key.str();
 }
 
-}  // namespace
+/// Splicing needs per-agent locality. kBetaGlobal couples every output
+/// to the global β minimum and kNoneThenScale rescales through a global
+/// feasibility factor — one edit can move every coordinate, so those
+/// run the full algorithm.
+bool spliceable(const LocalAveragingOptions& options) {
+  return options.damping == AveragingDamping::kBetaPerAgent ||
+         options.damping == AveragingDamping::kNone;
+}
 
-LocalAveragingResult local_averaging_incremental(
-    engine::Session& session, const LocalAveragingOptions& options,
-    IncrementalStats* stats) {
+/// Bring the memo of `options` up to the session's revision: a full run
+/// when it is invalid or the edit log cannot name the dirty region,
+/// else a splice of the dirty region. Requires spliceable(options);
+/// `stats` (optional) receives the accounting.
+engine::AveragingMemo& refresh_memo(engine::Session& session,
+                                    const LocalAveragingOptions& options,
+                                    IncrementalStats* stats) {
   MMLP_CHECK_GE(options.R, 1);
   const Instance& instance = session.instance();
   const auto n = static_cast<std::size_t>(instance.num_agents());
-  IncrementalStats accounting;
-  accounting.dirty_agents = n;
-  accounting.resolved_agents = n;
-
-  // Splicing needs per-agent locality. kBetaGlobal couples every output
-  // to the global β minimum and kNoneThenScale rescales through a global
-  // feasibility factor — one edit can move every coordinate, so those
-  // run the full algorithm.
-  const bool spliceable = options.damping == AveragingDamping::kBetaPerAgent ||
-                          options.damping == AveragingDamping::kNone;
-  if (!spliceable) {
-    LocalAveragingResult result = local_averaging_impl(session, options, nullptr);
-    if (stats != nullptr) {
-      *stats = accounting;
-    }
-    return result;
-  }
 
   engine::AveragingMemo& memo =
       session.averaging_memo(averaging_fingerprint(options));
@@ -296,13 +291,18 @@ LocalAveragingResult local_averaging_incremental(
     }
   }
   if (!memo.valid || !dirty_view.has_value()) {
-    memo.result = local_averaging_impl(session, options, &memo.view_x);
+    memo.valid = false;
+    LocalAveragingResult full =
+        local_averaging_impl(session, options, &memo.view_x);
+    memo.x = std::move(full.x);
+    memo.view_omega = std::move(full.view_omega);
+    memo.scalars = full;
     memo.revision = session.revision();
     memo.valid = true;
     if (stats != nullptr) {
-      *stats = accounting;
+      *stats = IncrementalStats{.dirty_agents = n, .resolved_agents = n};
     }
-    return memo.result;
+    return memo;
   }
 
   // Invalidate before any in-place mutation: an abandoned splice
@@ -312,13 +312,15 @@ LocalAveragingResult local_averaging_incremental(
   memo.valid = false;
   const std::vector<std::vector<AgentId>>& balls =
       session.balls(options.R, options.collaboration_oblivious);
+  // The growth sets were repaired in place by apply(); the gather reads
+  // β and |V^j| from them directly.
   const GrowthSets& sets =
       session.growth_sets(options.R, options.collaboration_oblivious);
   // Added agents are always inside the dirty region, so growing the
   // memoized vectors leaves no stale slot unrepaired.
   memo.view_x.resize(n);
-  memo.result.view_omega.resize(n, 0.0);
-  memo.result.x.resize(n, 0.0);
+  memo.view_omega.resize(n, 0.0);
+  memo.x.resize(n, 0.0);
 
   // 1. Re-solve the view LPs of B(T, R) — same extraction, scratch and
   //    simplex as the full loop, so a re-solved unchanged view
@@ -337,19 +339,13 @@ LocalAveragingResult local_averaging_incremental(
           const auto uu = static_cast<std::size_t>(u);
           extract_view_into(instance, u, options.R, balls[uu], view, *scratch);
           ViewLpSolution solution = solve_view_lp(view, options.lp, *scratch);
-          memo.result.view_omega[uu] = solution.omega;
+          memo.view_omega[uu] = solution.omega;
           memo.view_x[uu] = std::move(solution.x);
         }
       },
       session.pool());
 
-  // 2. The growth-derived fields were repaired in place by apply();
-  //    mirror them into the memoized result.
-  memo.result.beta = sets.beta;
-  memo.result.ball_size = sets.ball_size;
-  memo.result.ratio_bound = sets.ratio_bound();
-
-  // 3. Re-gather eq. (10) over B(T, 2R): the same ascending-u addition
+  // 2. Re-gather eq. (10) over B(T, 2R): the same ascending-u addition
   //    order as the full gather, over the spliced view solutions.
   const std::vector<AgentId>& regather = *dirty_gather;
   chunked_parallel_for(
@@ -367,27 +363,65 @@ LocalAveragingResult local_averaging_incremental(
             sum += memo.view_x[static_cast<std::size_t>(u)]
                               [static_cast<std::size_t>(it - ball_u.begin())];
           }
-          MMLP_CHECK_GT(memo.result.ball_size[jj], 0u);
+          MMLP_CHECK_GT(sets.ball_size[jj], 0u);
           const double average =
-              sum / static_cast<double>(memo.result.ball_size[jj]);
-          memo.result.x[jj] = options.damping == AveragingDamping::kBetaPerAgent
-                                  ? memo.result.beta[jj] * average
-                                  : average;
+              sum / static_cast<double>(sets.ball_size[jj]);
+          memo.x[jj] = options.damping == AveragingDamping::kBetaPerAgent
+                           ? sets.beta[jj] * average
+                           : average;
         }
       },
       session.pool());
 
-  memo.result.lp_solves = resolve.size();
-  memo.result.dedup_ratio = 0.0;
+  memo.scalars = AveragingScalars{.ratio_bound = sets.ratio_bound(),
+                                  .peak_ball = sets.peak_ball,
+                                  .lp_solves = resolve.size()};
   memo.revision = session.revision();
   memo.valid = true;
-  accounting.incremental = true;
-  accounting.dirty_agents = resolve.size();
-  accounting.resolved_agents = regather.size();
   if (stats != nullptr) {
-    *stats = accounting;
+    *stats = IncrementalStats{.incremental = true,
+                              .dirty_agents = resolve.size(),
+                              .resolved_agents = regather.size()};
   }
-  return memo.result;
+  return memo;
+}
+
+}  // namespace
+
+LocalAveragingResult local_averaging_incremental(
+    engine::Session& session, const LocalAveragingOptions& options,
+    IncrementalStats* stats) {
+  if (!spliceable(options)) {
+    if (stats != nullptr) {
+      const auto n = static_cast<std::size_t>(session.instance().num_agents());
+      *stats = IncrementalStats{.dirty_agents = n, .resolved_agents = n};
+    }
+    return local_averaging_impl(session, options, nullptr);
+  }
+  const engine::AveragingMemo& memo = refresh_memo(session, options, stats);
+  LocalAveragingResult result;
+  static_cast<AveragingScalars&>(result) = memo.scalars;
+  result.x = memo.x;
+  result.view_omega = memo.view_omega;
+  const GrowthSets& sets =
+      session.growth_sets(options.R, options.collaboration_oblivious);
+  result.beta = sets.beta;
+  result.ball_size = sets.ball_size;
+  return result;
+}
+
+AveragingScalars local_averaging_incremental_into(
+    engine::Session& session, const LocalAveragingOptions& options,
+    std::vector<double>& x, IncrementalStats* stats) {
+  if (!spliceable(options)) {
+    LocalAveragingResult full =
+        local_averaging_incremental(session, options, stats);
+    x = std::move(full.x);
+    return full;
+  }
+  const engine::AveragingMemo& memo = refresh_memo(session, options, stats);
+  x = memo.x;
+  return memo.scalars;
 }
 
 }  // namespace mmlp

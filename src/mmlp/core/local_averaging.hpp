@@ -54,17 +54,22 @@ struct LocalAveragingOptions {
   bool deduplicate = false;
 };
 
-struct LocalAveragingResult {
-  std::vector<double> x;            ///< x̃, feasible for (1)
-  std::vector<double> beta;         ///< β_j per agent
-  std::vector<std::size_t> ball_size;  ///< |V^j| per agent
-  double ratio_bound = 0.0;         ///< max_k M_k/m_k · max_i N_i/n_i (≤ γ(R−1)γ(R))
-  std::vector<double> view_omega;   ///< ω^u of each local LP (diagnostics)
+/// The scalar part of a run: what engine::solve reports as diagnostics.
+struct AveragingScalars {
+  double ratio_bound = 0.0;   ///< max_k M_k/m_k · max_i N_i/n_i (≤ γ(R−1)γ(R))
+  std::size_t peak_ball = 0;  ///< max_j |V^j|
 
   /// Dedup accounting. Without options.deduplicate: lp_solves == n and
   /// dedup_ratio == 0; with it, lp_solves is the number of view orbits.
   std::size_t lp_solves = 0;  ///< view LPs actually solved
   double dedup_ratio = 0.0;   ///< 1 − lp_solves/n
+};
+
+struct LocalAveragingResult : AveragingScalars {
+  std::vector<double> x;            ///< x̃, feasible for (1)
+  std::vector<double> beta;         ///< β_j per agent
+  std::vector<std::size_t> ball_size;  ///< |V^j| per agent
+  std::vector<double> view_omega;   ///< ω^u of each local LP (diagnostics)
 };
 
 /// Run the algorithm. Requires the full hypergraph mode for the
@@ -98,5 +103,13 @@ LocalAveragingResult local_averaging_with(engine::Session& session,
 LocalAveragingResult local_averaging_incremental(
     engine::Session& session, const LocalAveragingOptions& options = {},
     IncrementalStats* stats = nullptr);
+
+/// As local_averaging_incremental, for callers that want x̃ and the
+/// scalars only (engine::solve): x̃ is copied into `x` and nothing else
+/// n-sized is copied or scanned, so a spliced request costs the dirty
+/// region plus that one copy. Same memo, same bits.
+AveragingScalars local_averaging_incremental_into(
+    engine::Session& session, const LocalAveragingOptions& options,
+    std::vector<double>& x, IncrementalStats* stats = nullptr);
 
 }  // namespace mmlp

@@ -227,29 +227,36 @@ ViewLpSolution solve_view_lp(const LocalView& view,
   return solve_view_lp_impl(view, scratch.lp, options, &scratch.simplex);
 }
 
-double GrowthSets::max_party_ratio() const {
-  double worst = 1.0;
-  for (std::size_t k = 0; k < m_k.size(); ++k) {
-    if (m_k[k] == 0) {
+namespace {
+
+/// Refresh the scalar summaries of `sets` from its vectors.
+void summarize(GrowthSets& sets) {
+  sets.peak_ball = 0;
+  for (const std::size_t size : sets.ball_size) {
+    sets.peak_ball = std::max(sets.peak_ball, size);
+  }
+  sets.party_ratio = 1.0;
+  for (std::size_t k = 0; k < sets.m_k.size(); ++k) {
+    if (sets.m_k[k] == 0) {
       // Possible only in collaboration-oblivious mode (V_k need not be a
       // clique of H there); the benefit bound degenerates.
-      return std::numeric_limits<double>::infinity();
+      sets.party_ratio = std::numeric_limits<double>::infinity();
+      break;
     }
-    worst = std::max(worst, static_cast<double>(M_k[k]) /
-                                static_cast<double>(m_k[k]));
+    sets.party_ratio =
+        std::max(sets.party_ratio, static_cast<double>(sets.M_k[k]) /
+                                       static_cast<double>(sets.m_k[k]));
   }
-  return worst;
+  sets.resource_ratio = 1.0;
+  for (std::size_t i = 0; i < sets.N_i.size(); ++i) {
+    MMLP_CHECK_GT(sets.n_i[i], 0u);
+    sets.resource_ratio =
+        std::max(sets.resource_ratio, static_cast<double>(sets.N_i[i]) /
+                                          static_cast<double>(sets.n_i[i]));
+  }
 }
 
-double GrowthSets::max_resource_ratio() const {
-  double worst = 1.0;
-  for (std::size_t i = 0; i < N_i.size(); ++i) {
-    MMLP_CHECK_GT(n_i[i], 0u);
-    worst = std::max(worst, static_cast<double>(N_i[i]) /
-                                static_cast<double>(n_i[i]));
-  }
-  return worst;
-}
+}  // namespace
 
 GrowthSets compute_growth_sets(const Instance& instance,
                                const std::vector<std::vector<AgentId>>& balls) {
@@ -318,6 +325,7 @@ GrowthSets compute_growth_sets(const Instance& instance,
     }
     sets.beta[static_cast<std::size_t>(j)] = beta;
   }
+  summarize(sets);
   return sets;
 }
 
@@ -424,6 +432,7 @@ void repair_growth_sets(const Instance& instance,
     }
     sets.beta[static_cast<std::size_t>(j)] = beta;
   }
+  summarize(sets);
 }
 
 }  // namespace mmlp

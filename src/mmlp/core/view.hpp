@@ -129,12 +129,17 @@ struct GrowthSets {
   std::vector<std::size_t> n_i;        ///< min ball size over V_i
   std::vector<double> beta;            ///< β_j per agent
 
-  /// max_k M_k/m_k (Theorem 3: ≤ γ(R−1)).
-  double max_party_ratio() const;
-  /// max_i N_i/n_i (Theorem 3: ≤ γ(R)).
-  double max_resource_ratio() const;
+  /// Scalar summaries of the vectors above, refreshed by
+  /// compute_growth_sets and repair_growth_sets (the only writers), so
+  /// per-request readers pay O(1) instead of an O(K + I) scan.
+  std::size_t peak_ball = 0;    ///< max_j |V^j|
+  double party_ratio = 1.0;     ///< max_k M_k/m_k (Theorem 3: ≤ γ(R−1))
+  double resource_ratio = 1.0;  ///< max_i N_i/n_i (Theorem 3: ≤ γ(R))
+
+  double max_party_ratio() const { return party_ratio; }
+  double max_resource_ratio() const { return resource_ratio; }
   /// The proof's overall ratio max_k M_k/m_k · max_i N_i/n_i.
-  double ratio_bound() const { return max_party_ratio() * max_resource_ratio(); }
+  double ratio_bound() const { return party_ratio * resource_ratio; }
 };
 
 /// Compute the sets from per-agent balls (as returned by all_balls(H, R)).

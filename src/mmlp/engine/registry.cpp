@@ -8,6 +8,7 @@
 #include "mmlp/engine/solver.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -44,14 +45,10 @@ void attach_incremental_diagnostics(const IncrementalStats& stats,
       static_cast<double>(stats.resolved_agents);
 }
 
-void attach_averaging_diagnostics(const LocalAveragingResult& averaging,
+void attach_averaging_diagnostics(const AveragingScalars& averaging,
                                   SolveResult& result) {
   result.diagnostics["ratio_bound"] = averaging.ratio_bound;
-  std::size_t peak_ball = 0;
-  for (const std::size_t size : averaging.ball_size) {
-    peak_ball = std::max(peak_ball, size);
-  }
-  result.diagnostics["peak_ball"] = static_cast<double>(peak_ball);
+  result.diagnostics["peak_ball"] = static_cast<double>(averaging.peak_ball);
   result.diagnostics["lp_solves"] = static_cast<double>(averaging.lp_solves);
 }
 
@@ -137,17 +134,18 @@ SolverRegistry make_builtin() {
       .run =
           [](Session& session, const SolveRequest& request,
              SolveResult& result) {
-            LocalAveragingResult averaging;
+            AveragingScalars averaging;
             IncrementalStats stats;
             if (request.incremental) {
-              averaging = local_averaging_incremental(
-                  session, averaging_options(request), &stats);
+              averaging = local_averaging_incremental_into(
+                  session, averaging_options(request), result.x, &stats);
               attach_incremental_diagnostics(stats, result);
             } else {
-              averaging =
+              LocalAveragingResult full =
                   local_averaging_with(session, averaging_options(request));
+              result.x = std::move(full.x);
+              averaging = full;
             }
-            result.x = averaging.x;
             result.has_solution = true;
             attach_averaging_diagnostics(averaging, result);
             // A spliced incremental run solved no orbits to report on.
@@ -314,12 +312,62 @@ constexpr std::pair<const char*, const char*> kSurfacedCounters[] = {
     {"engine.timeouts", "timeouts"},
     {"engine.cancellations", "cancellations"},
     {"session.integrity_fallbacks", "integrity_fallbacks"},
+    {"evaluate.spliced", "evaluate_spliced"},
+    {"evaluate.full", "evaluate_full"},
 };
 
 std::int64_t counter_value(const obs::MetricsSnapshot& snapshot,
                            const char* name) {
   const auto it = snapshot.counters.find(name);
   return it != snapshot.counters.end() ? it->second : 0;
+}
+
+/// Fill result's ω, feasibility and party benefits from result.x.
+/// Spliced against the session's evaluation memo when it holds an
+/// evaluation this one can splice from (evaluate_spliced: the rows
+/// incident to agents whose x bits moved or whose coefficients were
+/// edited since). The full pass runs, and refreshes the memo, when the
+/// memo is empty, the shape changed, the edit log cannot name the
+/// edits (dirty_since answers nullopt), or too much of x moved; a
+/// solve that finds the memo held by another runs the stateless pass.
+void evaluate_result(Session& session, SolveResult& result) {
+  obs::Registry& metrics = obs::Registry::global();
+  static obs::Counter& spliced_passes = metrics.counter("evaluate.spliced");
+  static obs::Counter& full_passes = metrics.counter("evaluate.full");
+  obs::ObsSpan span("solution.evaluate", "engine");
+  const Instance& instance = session.instance();
+  Evaluation evaluation;
+  Session::EvaluationLease lease = session.try_evaluation_memo();
+  if (lease.memo == nullptr) {
+    evaluation = evaluate(instance, result.x, &result.party_benefit);
+    full_passes.increment();
+  } else {
+    EvaluationMemo& memo = *lease.memo;
+    // An instance mutated behind the session's back is not in the edit
+    // log, so its memo cannot be trusted or kept.
+    const bool logged = session.revision() == instance.revision();
+    std::optional<std::vector<AgentId>> coef_dirty;
+    if (memo.valid && logged) {
+      coef_dirty = session.dirty_since(memo.revision, 0, false);
+    }
+    memo.valid = false;  // until the state below is whole again
+    std::optional<Evaluation> spliced;
+    if (coef_dirty.has_value()) {
+      spliced = evaluate_spliced(instance, result.x, *coef_dirty, memo.state);
+    }
+    if (spliced.has_value()) {
+      evaluation = *spliced;
+      spliced_passes.increment();
+    } else {
+      evaluation = evaluate(instance, result.x, memo.state);
+      full_passes.increment();
+    }
+    result.party_benefit = memo.state.party_benefit;
+    memo.revision = instance.revision();
+    memo.valid = logged;
+  }
+  result.omega = evaluation.omega;
+  result.feasible = evaluation.feasible();
 }
 
 /// Turns the tracer on for one request and restores it on scope exit; a
@@ -444,7 +492,7 @@ SolveResult solve(Session& session, const SolveRequest& request,
   const obs::MetricsSnapshot counters_before = metrics.snapshot();
 
   const SessionStats before = session.stats();
-  WallTimer timer;
+  const WallTimer timer;
   try {
     const cancel::CancelScope scope(token);
     token->raise_if_expired();
@@ -466,6 +514,11 @@ SolveResult solve(Session& session, const SolveRequest& request,
     (result.status == SolveStatus::kTimeout ? timeouts : cancellations)
         .increment();
   }
+  if (result.has_solution) {
+    const WallTimer evaluate_timer;
+    evaluate_result(session, result);
+    result.evaluate_ms = evaluate_timer.milliseconds();
+  }
   result.total_ms = timer.milliseconds();
   const SessionStats after = session.stats();
 
@@ -479,17 +532,12 @@ SolveResult solve(Session& session, const SolveRequest& request,
   // request may observe cache work another request paid for; clamp the
   // derived solve_ms so the breakdown stays sane (see SolveResult docs).
   result.cache_build_ms =
-      std::min(after.cache_build_ms - before.cache_build_ms, result.total_ms);
-  result.solve_ms = result.total_ms - result.cache_build_ms;
+      std::min(after.cache_build_ms - before.cache_build_ms,
+               result.total_ms - result.evaluate_ms);
+  result.solve_ms =
+      result.total_ms - result.cache_build_ms - result.evaluate_ms;
   result.cache_hits = after.cache_hits - before.cache_hits;
   result.cache_misses = after.cache_misses - before.cache_misses;
-
-  if (result.has_solution) {
-    const Evaluation evaluation =
-        evaluate(session.instance(), result.x, &result.party_benefit);
-    result.omega = evaluation.omega;
-    result.feasible = evaluation.feasible();
-  }
   return result;
 }
 

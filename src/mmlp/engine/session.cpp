@@ -252,6 +252,11 @@ Session::ApplyReport Session::apply(const InstanceDelta& delta) {
     for (auto& [key, memo] : averaging_memos_) {
       memo->valid = false;
     }
+    if (std::unique_lock<std::mutex> eval_lock(evaluation_mutex_,
+                                               std::try_to_lock);
+        eval_lock.owns_lock()) {
+      evaluation_memo_.valid = false;
+    }
     log_.push_back({effect.revision, true, {}});
     revision_ = effect.revision;
     prune_log_locked();  // every memo is invalid now: drops the log
@@ -407,6 +412,13 @@ void Session::prune_log_locked() {
       needed = std::min(needed, memo->revision);
     }
   }
+  // A solve holding the evaluation memo would overlap this apply, which
+  // the contract rules out; skipping it then only costs that memo its
+  // splice (dirty_since answers nullopt below the floor).
+  if (std::unique_lock<std::mutex> lock(evaluation_mutex_, std::try_to_lock);
+      lock.owns_lock() && evaluation_memo_.valid) {
+    needed = std::min(needed, evaluation_memo_.revision);
+  }
   std::size_t drop = 0;
   while (drop < log_.size() && log_[drop].revision <= needed) {
     ++drop;
@@ -468,6 +480,14 @@ AveragingMemo& Session::averaging_memo(const std::string& fingerprint) {
     slot = std::make_unique<AveragingMemo>();
   }
   return *slot;
+}
+
+Session::EvaluationLease Session::try_evaluation_memo() {
+  std::unique_lock<std::mutex> lock(evaluation_mutex_, std::try_to_lock);
+  if (!lock.owns_lock()) {
+    return {};
+  }
+  return {&evaluation_memo_, std::move(lock)};
 }
 
 SessionStats Session::stats() const {

@@ -44,7 +44,10 @@
 // which invalidates previously returned references. apply() itself and
 // incremental solves must not run concurrently with other solves on the
 // same session (they mutate the instance and the memos those solves
-// read). Results are bitwise identical to the cold free-function paths.
+// read). The evaluation memo engine::solve splices into has its own
+// mutex, taken by try-lock, so overlapping non-incremental solves stay
+// safe: the one that finds it busy evaluates statelessly. Results are
+// bitwise identical to the cold free-function paths.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +61,7 @@
 
 #include "mmlp/core/instance.hpp"
 #include "mmlp/core/local_averaging.hpp"
+#include "mmlp/core/solution.hpp"
 #include "mmlp/core/view.hpp"
 #include "mmlp/core/view_class.hpp"
 #include "mmlp/dist/runtime.hpp"
@@ -115,15 +119,27 @@ struct SolutionMemo {
   std::vector<double> x;
 };
 
-/// Previous local-averaging run retained for incremental re-solves: the
-/// full result plus every agent's view-LP solution x^u (the gather of
-/// eq. (10) needs x^u_j for *unchanged* u ∈ V^j too, so the per-view
-/// state must outlive the solve that produced it).
+/// Previous local-averaging run retained for incremental re-solves: x̃,
+/// the scalars, and every agent's view-LP solution x^u with its ω^u
+/// (the gather of eq. (10) needs x^u_j for *unchanged* u ∈ V^j too, so
+/// the per-view state must outlive the solve that produced it). β and
+/// |V^j| are not copied here: the session's growth sets hold them.
 struct AveragingMemo {
   bool valid = false;
   std::uint64_t revision = 0;
-  LocalAveragingResult result;
+  std::vector<double> x;
+  AveragingScalars scalars;
+  std::vector<double> view_omega;
   std::vector<std::vector<double>> view_x;
+};
+
+/// The last evaluation engine::solve ran on this session, kept so the
+/// next one re-sums only the rows its changes reach (evaluate_spliced).
+/// `state` matches instance revision `revision` when `valid`.
+struct EvaluationMemo {
+  bool valid = false;
+  std::uint64_t revision = 0;
+  EvaluationState state;
 };
 
 class Session {
@@ -184,6 +200,16 @@ class Session {
   /// solve at a time per session).
   SolutionMemo& solution_memo(const std::string& fingerprint);
   AveragingMemo& averaging_memo(const std::string& fingerprint);
+
+  /// Exclusive use of the evaluation memo for as long as the lease
+  /// lives. Taken by try-lock: when another solve holds the memo, the
+  /// lease is empty (memo == nullptr) and the caller evaluates
+  /// statelessly instead of waiting.
+  struct EvaluationLease {
+    EvaluationMemo* memo = nullptr;
+    std::unique_lock<std::mutex> lock;
+  };
+  EvaluationLease try_evaluation_memo();
 
   /// The pool parallel loops should run on: the shared pool when the
   /// session was constructed with one, else the session-owned pool, or
@@ -280,6 +306,8 @@ class Session {
   std::map<Key, Stamped<ViewClassIndex>> view_classes_;
   std::map<std::string, std::unique_ptr<SolutionMemo>> solution_memos_;
   std::map<std::string, std::unique_ptr<AveragingMemo>> averaging_memos_;
+  std::mutex evaluation_mutex_;  // guards evaluation_memo_ (own lock: try-locked)
+  EvaluationMemo evaluation_memo_;
   std::int64_t cache_hits_ = 0;
   std::int64_t cache_misses_ = 0;
   double cache_build_ms_ = 0.0;

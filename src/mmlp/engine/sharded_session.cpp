@@ -219,10 +219,20 @@ SolveResult ShardedSession::solve(const SolveRequest& request,
       }
     }
     result.has_solution = true;
+  }
+  {
+    // The stitched x is evaluated statelessly: the flat instance has no
+    // session, so there is no evaluation memo to splice into.
+    obs::ObsSpan span("solution.evaluate", "engine.shard");
+    static obs::Counter& full_passes =
+        obs::Registry::global().counter("evaluate.full");
+    const WallTimer evaluate_timer;
     const Evaluation evaluation =
         evaluate(*instance_, result.x, &result.party_benefit);
     result.omega = evaluation.omega;
     result.feasible = evaluation.feasible();
+    result.evaluate_ms = evaluate_timer.milliseconds();
+    full_passes.increment();
   }
   result.total_ms = timer.milliseconds();
 
@@ -260,8 +270,10 @@ SolveResult ShardedSession::solve(const SolveRequest& request,
       have_incremental = false;
     }
   }
-  result.cache_build_ms = std::min(cache_build_ms, result.total_ms);
-  result.solve_ms = result.total_ms - result.cache_build_ms;
+  result.cache_build_ms =
+      std::min(cache_build_ms, result.total_ms - result.evaluate_ms);
+  result.solve_ms =
+      result.total_ms - result.cache_build_ms - result.evaluate_ms;
   result.diagnostics["shards"] = static_cast<double>(options_.shards);
   result.diagnostics["halo_agents"] = static_cast<double>(halo_agents());
   if (averaging_family) {

@@ -129,25 +129,33 @@ struct SolveResult {
   /// "half_width", "agents_evaluated"}.
   std::map<std::string, double> diagnostics;
 
-  /// Timing breakdown. total_ms = cache_build_ms + solve_ms up to clock
-  /// granularity; cache_build_ms is the session-cache construction this
-  /// request paid for (0 on a warm session — the acceptance observable
-  /// of BENCH_engine.json). The cache numbers are derived from deltas
-  /// of session-global counters: exact when solves on a session run one
-  /// at a time (every current caller); when requests overlap on one
-  /// session they may attribute a concurrent request's cache build to
-  /// this one (cache_build_ms is clamped to total_ms, so solve_ms never
-  /// goes negative).
+  /// Timing breakdown. total_ms = cache_build_ms + solve_ms +
+  /// evaluate_ms up to clock granularity; total_ms runs from dispatch
+  /// to the end of the evaluation. cache_build_ms is the session-cache
+  /// construction this request paid for (0 on a warm session — the
+  /// acceptance observable of BENCH_engine.json). evaluate_ms is the
+  /// evaluation of x against eq. (1) (ω, feasibility, party benefits):
+  /// spliced against the session's evaluation memo when it can be, so
+  /// a warm request pays for the rows its changes reach (counters
+  /// evaluate_spliced / evaluate_full say which pass ran). The cache
+  /// numbers are derived from deltas of session-global counters: exact
+  /// when solves on a session run one at a time (every current caller);
+  /// when requests overlap on one session they may attribute a
+  /// concurrent request's cache build to this one (cache_build_ms is
+  /// clamped to total_ms − evaluate_ms, so solve_ms never goes
+  /// negative).
   double total_ms = 0.0;
   double cache_build_ms = 0.0;
   double solve_ms = 0.0;
+  double evaluate_ms = 0.0;
   std::int64_t cache_hits = 0;    ///< warm cache lookups during this solve
   std::int64_t cache_misses = 0;  ///< cache entries built during this solve
 
   /// Deltas of the global obs::Registry counters across this request:
   /// simplex_solves / simplex_pivots, bfs_ball_expansions,
   /// scratch_leases, faults_injected, rounds_to_legitimate, timeouts,
-  /// cancellations and integrity_fallbacks. Session-global like the cache numbers above, with
+  /// cancellations, integrity_fallbacks and evaluate_spliced /
+  /// evaluate_full. Session-global like the cache numbers above, with
   /// the same caveat under overlapping solves.
   std::map<std::string, std::int64_t> counters;
 };

@@ -699,6 +699,8 @@ std::string result_to_json_line(const SolveResult& result,
   append_number(oss, result.cache_build_ms);
   oss << ", \"solve_ms\": ";
   append_number(oss, result.solve_ms);
+  oss << ", \"evaluate_ms\": ";
+  append_number(oss, result.evaluate_ms);
   oss << ", \"cache_hits\": " << result.cache_hits
       << ", \"cache_misses\": " << result.cache_misses;
   if (!result.counters.empty()) {

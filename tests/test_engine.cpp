@@ -422,7 +422,8 @@ TEST(Wire, ResultSerialisesTheBreakdownAndOptionalX) {
   result.feasible = true;
   result.total_ms = 1.5;
   result.cache_build_ms = 0.5;
-  result.solve_ms = 1.0;
+  result.solve_ms = 0.75;
+  result.evaluate_ms = 0.25;
   result.cache_hits = 3;
   result.diagnostics["steps"] = 4.0;
 
@@ -432,6 +433,7 @@ TEST(Wire, ResultSerialisesTheBreakdownAndOptionalX) {
   EXPECT_NE(without_x.find("\"algorithm\": \"safe\""), std::string::npos);
   EXPECT_NE(without_x.find("\"omega\": 0.75"), std::string::npos);
   EXPECT_NE(without_x.find("\"cache_build_ms\": 0.5"), std::string::npos);
+  EXPECT_NE(without_x.find("\"evaluate_ms\": 0.25"), std::string::npos);
   EXPECT_NE(without_x.find("\"steps\": 4"), std::string::npos);
   EXPECT_EQ(without_x.find("\"x\""), std::string::npos);
 

@@ -1,9 +1,11 @@
 // Shared fixtures and builders for the mmlp test suite.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "mmlp/core/instance.hpp"
+#include "mmlp/util/rng.hpp"
 
 namespace mmlp::testing {
 
@@ -61,6 +63,28 @@ inline Instance single_party_instance() {
   builder.set_benefit(k, v1, 1.0);
   builder.set_benefit(k, v2, 1.0);
   return std::move(builder).build();
+}
+
+/// A uniformly random agent id of `instance`.
+inline AgentId pick_agent(Rng& rng, const Instance& instance) {
+  return static_cast<AgentId>(
+      rng.next_below(static_cast<std::uint64_t>(instance.num_agents())));
+}
+
+/// True when removing v keeps every incident resource and party
+/// support nonempty (the builder's standing assumption).
+inline bool removable(const Instance& instance, AgentId v) {
+  for (const Coef& entry : instance.agent_resources(v)) {
+    if (instance.resource_support(entry.id).size() < 2) {
+      return false;
+    }
+  }
+  for (const Coef& entry : instance.agent_parties(v)) {
+    if (instance.party_support(entry.id).size() < 2) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace mmlp::testing

@@ -141,6 +141,9 @@ TEST(SessionApply, RepairedCachesMatchFromScratchRecompute) {
         EXPECT_EQ(repaired.N_i, fresh.N_i) << name << " r=" << r;
         EXPECT_EQ(repaired.n_i, fresh.n_i) << name << " r=" << r;
         EXPECT_EQ(repaired.beta, fresh.beta) << name << " r=" << r;
+        EXPECT_EQ(repaired.peak_ball, fresh.peak_ball) << name << " r=" << r;
+        EXPECT_EQ(repaired.ratio_bound(), fresh.ratio_bound())
+            << name << " r=" << r;
 
         for (const bool oblivious : {false, true}) {
           const ViewClassIndex rebuilt = build_view_class_index(

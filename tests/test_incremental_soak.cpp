@@ -19,6 +19,7 @@
 #include "mmlp/engine/solver.hpp"
 #include "mmlp/gen/grid.hpp"
 #include "mmlp/util/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace mmlp {
 namespace {
@@ -26,27 +27,8 @@ namespace {
 using engine::Session;
 using engine::SolveRequest;
 using engine::SolveResult;
-
-AgentId pick_agent(Rng& rng, const Instance& instance) {
-  return static_cast<AgentId>(
-      rng.next_below(static_cast<std::uint64_t>(instance.num_agents())));
-}
-
-/// True when removing v keeps every incident resource and party
-/// support nonempty (the builder's standing assumption).
-bool removable(const Instance& instance, AgentId v) {
-  for (const Coef& entry : instance.agent_resources(v)) {
-    if (instance.resource_support(entry.id).size() < 2) {
-      return false;
-    }
-  }
-  for (const Coef& entry : instance.agent_parties(v)) {
-    if (instance.party_support(entry.id).size() < 2) {
-      return false;
-    }
-  }
-  return true;
-}
+using testing::pick_agent;
+using testing::removable;
 
 /// One random, always-valid delta. Mostly value edits (the common
 /// case incremental splicing is built for), with a steady trickle of

@@ -22,9 +22,11 @@
 // unchanged (malloc/free), so every other test runs as usual.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
 
-void* operator new(std::size_t size) {
+// Both replacements go through this one out-of-line malloc/free pair.
+// Inlined, gcc 12 pairs the free() in operator delete with the replaced
+// operator new at the call site and raises -Wmismatched-new-delete.
+[[gnu::noinline]] void* counted_alloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* ptr = std::malloc(size > 0 ? size : 1)) {
     return ptr;
@@ -32,12 +34,16 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void counted_free(void* ptr) noexcept { std::free(ptr); }
+}  // namespace
 
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+
+void operator delete(void* ptr) noexcept { counted_free(ptr); }
+void operator delete[](void* ptr) noexcept { counted_free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { counted_free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { counted_free(ptr); }
 
 namespace mmlp {
 namespace {
