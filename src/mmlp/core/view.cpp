@@ -2,18 +2,58 @@
 // hot loop: extract_view_into scatters B_H(u,R) into a persistent
 // global→local stamp map (all −1 between calls, reset via the ball
 // itself), so membership tests V^u_i = V_i ∩ V^u and K^u ⊆-tests are
-// O(1) per support entry, and every buffer — id lists, CSR entry arrays,
-// the LP rows, the simplex tableau — is reused across agents.
+// O(1) per support entry. Candidate resources and parties are deduped
+// with per-id byte stamps (all 0 between calls, reset via the candidate
+// lists); parties are tested for full visibility before anything is
+// sorted, so only the unique resources and the kept parties are sorted
+// into ascending global order. Every buffer — id lists, CSR entry
+// arrays, the LP rows, the simplex tableau — is reused across agents.
+//
+// The Figure 2 growth sets come from one row kernel (growth_rows),
+// shared by compute_growth_sets and repair_growth_sets. It counts m_k by
+// per-agent occurrence counts over the first member's ball and N_i by
+// stamping the union's members, instead of materialising S_k and U_i.
 #include "mmlp/core/view.hpp"
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "mmlp/graph/bfs.hpp"
 #include "mmlp/util/check.hpp"
+#include "mmlp/util/parallel.hpp"
+#include "mmlp/util/scratch_pool.hpp"
 #include "mmlp/util/stamp_guard.hpp"
 
 namespace mmlp {
+
+namespace {
+
+/// Size the stamp maps of `scratch` for `instance`. They only grow:
+/// entries past the old size start blank, the rest are blank already.
+void fit_stamps(const Instance& instance, ViewScratch& scratch) {
+  const auto grow = [](auto& map, std::int32_t size, auto blank) {
+    if (map.size() < static_cast<std::size_t>(size)) {
+      map.resize(static_cast<std::size_t>(size), blank);
+    }
+  };
+  grow(scratch.agent_local, instance.num_agents(), std::int32_t{-1});
+  grow(scratch.resource_seen, instance.num_resources(), std::uint8_t{0});
+  grow(scratch.party_seen, instance.num_parties(), std::uint8_t{0});
+}
+
+/// Append `id` to `list` the first time its byte stamp is seen, and set
+/// the stamp; a StampGuard over `list` clears it again.
+void push_once(std::vector<std::uint8_t>& seen, std::vector<std::int32_t>& list,
+               std::int32_t id) {
+  std::uint8_t& stamp = seen[static_cast<std::size_t>(id)];
+  if (stamp == 0) {
+    list.push_back(id);
+    stamp = 1;
+  }
+}
+
+}  // namespace
 
 std::int32_t LocalView::local_index(AgentId global) const {
   const auto it = std::lower_bound(agents.begin(), agents.end(), global);
@@ -46,10 +86,8 @@ void extract_view_into(const Instance& instance, AgentId u, std::int32_t radius,
 
   // Persistent global→local map: −1 outside the current ball. Lazily
   // sized once per instance; reset below by walking the ball again.
+  fit_stamps(instance, scratch);
   auto& local_of = scratch.agent_local;
-  if (local_of.size() < static_cast<std::size_t>(instance.num_agents())) {
-    local_of.assign(static_cast<std::size_t>(instance.num_agents()), -1);
-  }
   bool center_seen = false;
   for (const AgentId v : view.agents) {
     MMLP_CHECK_MSG(v >= 0 && v < instance.num_agents(),
@@ -65,26 +103,41 @@ void extract_view_into(const Instance& instance, AgentId u, std::int32_t radius,
         static_cast<std::int32_t>(idx);
   }
 
-  // I^u and the party candidates: ids touching any view agent, deduped
-  // with sort+unique (the lists are tiny under bounded degrees).
+  // I^u and the party candidates: ids touching any view agent, each
+  // kept once via its byte stamp (reset by the guards on every exit).
   auto& resource_ids = scratch.resource_ids;
   auto& party_ids = scratch.party_ids;
   resource_ids.clear();
   party_ids.clear();
+  const StampGuard resource_guard(scratch.resource_seen, resource_ids,
+                                  std::uint8_t{0});
+  const StampGuard party_guard(scratch.party_seen, party_ids,
+                               std::uint8_t{0});
   for (const AgentId v : view.agents) {
     for (const Coef& entry : instance.agent_resources(v)) {
-      resource_ids.push_back(entry.id);
+      push_once(scratch.resource_seen, resource_ids, entry.id);
     }
     for (const Coef& entry : instance.agent_parties(v)) {
-      party_ids.push_back(entry.id);
+      push_once(scratch.party_seen, party_ids, entry.id);
+    }
+  }
+
+  // K^u keeps only fully visible parties; most candidates fail, so test
+  // before sorting.
+  for (const PartyId k : party_ids) {
+    bool full = true;
+    for (const Coef& entry : instance.party_support(k)) {
+      if (local_of[static_cast<std::size_t>(entry.id)] < 0) {
+        full = false;
+        break;
+      }
+    }
+    if (full) {
+      view.parties.push_back(k);
     }
   }
   std::sort(resource_ids.begin(), resource_ids.end());
-  resource_ids.erase(std::unique(resource_ids.begin(), resource_ids.end()),
-                     resource_ids.end());
-  std::sort(party_ids.begin(), party_ids.end());
-  party_ids.erase(std::unique(party_ids.begin(), party_ids.end()),
-                  party_ids.end());
+  std::sort(view.parties.begin(), view.parties.end());
 
   for (const ResourceId i : resource_ids) {
     const auto start = view.resource_data.size();
@@ -99,29 +152,16 @@ void extract_view_into(const Instance& instance, AgentId u, std::int32_t radius,
     view.resource_offsets.push_back(
         static_cast<std::int32_t>(view.resource_data.size()));
   }
-
-  // K^u keeps only fully visible parties: collect entries in one pass and
-  // roll back when a member falls outside the ball.
-  for (const PartyId k : party_ids) {
-    const auto start = view.party_data.size();
-    bool full = true;
+  for (const PartyId k : view.parties) {
     for (const Coef& entry : instance.party_support(k)) {
-      const std::int32_t local = local_of[static_cast<std::size_t>(entry.id)];
-      if (local < 0) {
-        full = false;
-        break;
-      }
-      view.party_data.push_back({local, entry.value});
+      view.party_data.push_back(
+          {local_of[static_cast<std::size_t>(entry.id)], entry.value});
     }
-    if (!full) {
-      view.party_data.resize(start);
-      continue;
-    }
-    view.parties.push_back(k);
     view.party_offsets.push_back(
         static_cast<std::int32_t>(view.party_data.size()));
   }
-  // The StampGuard restores the all-−1 invariant on every exit path.
+  // The StampGuards restore the all-−1 / all-0 invariants on every exit
+  // path.
 }
 
 LocalView extract_view(const Instance& instance, AgentId u, std::int32_t radius,
@@ -256,182 +296,226 @@ void summarize(GrowthSets& sets) {
   }
 }
 
+/// The rows of GrowthSets one kernel call recomputes.
+struct GrowthRows {
+  std::vector<PartyId> parties;      ///< m_k, M_k
+  std::vector<ResourceId> resources;  ///< N_i, n_i
+  std::vector<AgentId> agents;        ///< β_j (read after the rows above)
+};
+
+/// m_k = |∩_{j∈V_k} V^j| and M_k = max_{j∈V_k} |V^j|. S_k lies inside
+/// the first member's ball, so only that ball is stamped: count[v]
+/// counts the members whose ball holds v, and v ∈ S_k iff it reaches
+/// |V_k| (supports hold distinct agents).
+void party_row(const Instance& instance,
+               const std::vector<std::vector<AgentId>>& balls, PartyId k,
+               std::vector<std::int32_t>& count, GrowthSets& sets) {
+  const CoefSpan support = instance.party_support(k);
+  const auto& first_ball = balls[static_cast<std::size_t>(support.front().id)];
+  const StampGuard guard(count, first_ball);
+  for (const AgentId v : first_ball) {
+    count[static_cast<std::size_t>(v)] = 0;
+  }
+  std::size_t max_ball = 0;
+  for (const Coef& entry : support) {
+    const auto& ball_j = balls[static_cast<std::size_t>(entry.id)];
+    max_ball = std::max(max_ball, ball_j.size());
+    for (const AgentId v : ball_j) {
+      std::int32_t& c = count[static_cast<std::size_t>(v)];
+      c += c >= 0 ? 1 : 0;
+    }
+  }
+  const auto members = static_cast<std::int32_t>(support.size());
+  std::size_t common = 0;
+  for (const AgentId v : first_ball) {
+    common += count[static_cast<std::size_t>(v)] == members ? 1 : 0;
+  }
+  sets.m_k[static_cast<std::size_t>(k)] = common;
+  sets.M_k[static_cast<std::size_t>(k)] = max_ball;
+}
+
+/// N_i = |∪_{j∈V_i} V^j| (each member stamped once) and
+/// n_i = min_{j∈V_i} |V^j|.
+void resource_row(const Instance& instance,
+                  const std::vector<std::vector<AgentId>>& balls, ResourceId i,
+                  ViewScratch& scratch, GrowthSets& sets) {
+  const CoefSpan support = instance.resource_support(i);
+  auto& stamp = scratch.agent_local;
+  auto& members = scratch.touched_agents;
+  std::size_t bound = 0;
+  for (const Coef& entry : support) {
+    bound += balls[static_cast<std::size_t>(entry.id)].size();
+  }
+  members.resize(bound);
+  const StampGuard guard(stamp, members);
+  std::size_t count = 0;
+  std::size_t min_ball = std::numeric_limits<std::size_t>::max();
+  for (const Coef& entry : support) {
+    const auto& ball_j = balls[static_cast<std::size_t>(entry.id)];
+    min_ball = std::min(min_ball, ball_j.size());
+    // Branch-free: every agent is written, first sightings advance.
+    for (const AgentId v : ball_j) {
+      std::int32_t& mark = stamp[static_cast<std::size_t>(v)];
+      members[count] = v;
+      count += mark < 0 ? 1 : 0;
+      mark = 0;
+    }
+  }
+  members.resize(count);
+  sets.N_i[static_cast<std::size_t>(i)] = count;
+  sets.n_i[static_cast<std::size_t>(i)] = min_ball;
+}
+
+/// The one growth-set kernel: recompute the party and resource rows of
+/// `rows` in one chunked loop, then the β_j of `rows.agents` in a second
+/// (β reads n_i/N_i). The vectors of `sets` must already have their
+/// final sizes. Each row writes only its own entries, so the result is
+/// independent of chunking and thread count.
+void growth_rows(const Instance& instance,
+                 const std::vector<std::vector<AgentId>>& balls,
+                 const GrowthRows& rows, GrowthSets& sets, ThreadPool* pool,
+                 ScratchPool<ViewScratch>& leases) {
+  const std::size_t num_parties = rows.parties.size();
+  chunked_parallel_for(
+      num_parties + rows.resources.size(),
+      [&](std::size_t begin, std::size_t end) {
+        auto lease = leases.acquire();
+        fit_stamps(instance, *lease);
+        for (std::size_t r = begin; r < end; ++r) {
+          if (r < num_parties) {
+            party_row(instance, balls, rows.parties[r], lease->agent_local,
+                      sets);
+          } else {
+            resource_row(instance, balls, rows.resources[r - num_parties],
+                         *lease, sets);
+          }
+        }
+      },
+      pool);
+  // β_j = min_{i∈I_j} n_i / N_i.
+  chunked_parallel_for(
+      rows.agents.size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t r = begin; r < end; ++r) {
+          const AgentId j = rows.agents[r];
+          double beta = std::numeric_limits<double>::infinity();
+          for (const Coef& entry : instance.agent_resources(j)) {
+            const auto i = static_cast<std::size_t>(entry.id);
+            beta = std::min(beta, static_cast<double>(sets.n_i[i]) /
+                                      static_cast<double>(sets.N_i[i]));
+          }
+          sets.beta[static_cast<std::size_t>(j)] = beta;
+        }
+      },
+      pool);
+}
+
 }  // namespace
 
 GrowthSets compute_growth_sets(const Instance& instance,
-                               const std::vector<std::vector<AgentId>>& balls) {
+                               const std::vector<std::vector<AgentId>>& balls,
+                               ThreadPool* pool,
+                               ScratchPool<ViewScratch>* scratch) {
   MMLP_CHECK_EQ(balls.size(), static_cast<std::size_t>(instance.num_agents()));
   GrowthSets sets;
   sets.ball_size.resize(balls.size());
   for (std::size_t j = 0; j < balls.size(); ++j) {
     sets.ball_size[j] = balls[j].size();
   }
+  sets.m_k.resize(static_cast<std::size_t>(instance.num_parties()));
+  sets.M_k.resize(sets.m_k.size());
+  sets.N_i.resize(static_cast<std::size_t>(instance.num_resources()));
+  sets.n_i.resize(sets.N_i.size());
+  sets.beta.resize(balls.size());
 
-  // Scratch for the running intersections/unions, hoisted out of the
-  // per-party/per-resource loops (the sets are small; the allocations
-  // were the cost).
-  std::vector<AgentId> current;
-  std::vector<AgentId> next;
-
-  // Parties: S_k = ∩_{j∈V_k} V^j (sorted-list intersection), M_k = max |V^j|.
-  const auto num_parties = static_cast<std::size_t>(instance.num_parties());
-  sets.m_k.resize(num_parties);
-  sets.M_k.resize(num_parties);
-  for (PartyId k = 0; k < instance.num_parties(); ++k) {
-    const CoefSpan support = instance.party_support(k);
-    const auto& first_ball = balls[static_cast<std::size_t>(support.front().id)];
-    current.assign(first_ball.begin(), first_ball.end());
-    std::size_t max_ball = 0;
-    for (const Coef& entry : support) {
-      const auto& ball_j = balls[static_cast<std::size_t>(entry.id)];
-      max_ball = std::max(max_ball, ball_j.size());
-      next.clear();
-      std::set_intersection(current.begin(), current.end(), ball_j.begin(),
-                            ball_j.end(), std::back_inserter(next));
-      current.swap(next);
-    }
-    sets.m_k[static_cast<std::size_t>(k)] = current.size();
-    sets.M_k[static_cast<std::size_t>(k)] = max_ball;
-  }
-
-  // Resources: U_i = ∪_{j∈V_i} V^j, n_i = min |V^j|.
-  const auto num_resources = static_cast<std::size_t>(instance.num_resources());
-  sets.N_i.resize(num_resources);
-  sets.n_i.resize(num_resources);
-  for (ResourceId i = 0; i < instance.num_resources(); ++i) {
-    const CoefSpan support = instance.resource_support(i);
-    current.clear();
-    std::size_t min_ball = std::numeric_limits<std::size_t>::max();
-    for (const Coef& entry : support) {
-      const auto& ball_j = balls[static_cast<std::size_t>(entry.id)];
-      min_ball = std::min(min_ball, ball_j.size());
-      next.clear();
-      std::set_union(current.begin(), current.end(), ball_j.begin(),
-                     ball_j.end(), std::back_inserter(next));
-      current.swap(next);
-    }
-    sets.N_i[static_cast<std::size_t>(i)] = current.size();
-    sets.n_i[static_cast<std::size_t>(i)] = min_ball;
-  }
-
-  // β_j = min_{i∈I_j} n_i / N_i.
-  sets.beta.assign(balls.size(), 1.0);
-  for (AgentId j = 0; j < instance.num_agents(); ++j) {
-    double beta = std::numeric_limits<double>::infinity();
-    for (const Coef& entry : instance.agent_resources(j)) {
-      const auto i = static_cast<std::size_t>(entry.id);
-      beta = std::min(beta, static_cast<double>(sets.n_i[i]) /
-                                static_cast<double>(sets.N_i[i]));
-    }
-    sets.beta[static_cast<std::size_t>(j)] = beta;
-  }
+  GrowthRows rows;
+  rows.parties.resize(sets.m_k.size());
+  std::iota(rows.parties.begin(), rows.parties.end(), PartyId{0});
+  rows.resources.resize(sets.N_i.size());
+  std::iota(rows.resources.begin(), rows.resources.end(), ResourceId{0});
+  rows.agents.resize(balls.size());
+  std::iota(rows.agents.begin(), rows.agents.end(), AgentId{0});
+  ScratchPool<ViewScratch> local;
+  growth_rows(instance, balls, rows, sets, pool,
+              scratch != nullptr ? *scratch : local);
   summarize(sets);
   return sets;
 }
 
 void repair_growth_sets(const Instance& instance,
                         const std::vector<std::vector<AgentId>>& balls,
-                        std::span<const AgentId> dirty, GrowthSets& sets) {
+                        std::span<const AgentId> dirty, GrowthSets& sets,
+                        ThreadPool* pool, ScratchPool<ViewScratch>* scratch) {
   const auto n = static_cast<std::size_t>(instance.num_agents());
   MMLP_CHECK_EQ(balls.size(), n);
-  const std::size_t old_parties = sets.m_k.size();
-  const std::size_t old_resources = sets.N_i.size();
+  const auto old_parties = static_cast<PartyId>(sets.m_k.size());
+  const auto old_resources = static_cast<ResourceId>(sets.N_i.size());
   MMLP_CHECK_MSG(sets.ball_size.size() <= n &&
-                     old_parties <= static_cast<std::size_t>(instance.num_parties()) &&
-                     old_resources <= static_cast<std::size_t>(instance.num_resources()),
+                     old_parties <= instance.num_parties() &&
+                     old_resources <= instance.num_resources(),
                  "repair_growth_sets: cached sets are larger than the "
                  "instance (entity removal needs a full recompute)");
-
-  std::vector<char> is_dirty(n, 0);
   for (const AgentId d : dirty) {
     MMLP_CHECK_GE(d, 0);
     MMLP_CHECK_LT(static_cast<std::size_t>(d), n);
-    is_dirty[static_cast<std::size_t>(d)] = 1;
   }
   sets.ball_size.resize(n);
   for (const AgentId d : dirty) {
     sets.ball_size[static_cast<std::size_t>(d)] =
         balls[static_cast<std::size_t>(d)].size();
   }
-
-  // Same running-set scratch and per-row loops as compute_growth_sets,
-  // run only for the affected rows so the recomputed entries are
-  // bitwise what the from-scratch pass would produce.
-  std::vector<AgentId> current;
-  std::vector<AgentId> next;
-
   sets.m_k.resize(static_cast<std::size_t>(instance.num_parties()));
-  sets.M_k.resize(static_cast<std::size_t>(instance.num_parties()));
-  for (PartyId k = 0; k < instance.num_parties(); ++k) {
-    const CoefSpan support = instance.party_support(k);
-    bool affected = static_cast<std::size_t>(k) >= old_parties;
-    for (const Coef& entry : support) {
-      affected = affected || is_dirty[static_cast<std::size_t>(entry.id)] != 0;
-    }
-    if (!affected) {
-      continue;
-    }
-    const auto& first_ball = balls[static_cast<std::size_t>(support.front().id)];
-    current.assign(first_ball.begin(), first_ball.end());
-    std::size_t max_ball = 0;
-    for (const Coef& entry : support) {
-      const auto& ball_j = balls[static_cast<std::size_t>(entry.id)];
-      max_ball = std::max(max_ball, ball_j.size());
-      next.clear();
-      std::set_intersection(current.begin(), current.end(), ball_j.begin(),
-                            ball_j.end(), std::back_inserter(next));
-      current.swap(next);
-    }
-    sets.m_k[static_cast<std::size_t>(k)] = current.size();
-    sets.M_k[static_cast<std::size_t>(k)] = max_ball;
-  }
-
+  sets.M_k.resize(sets.m_k.size());
   sets.N_i.resize(static_cast<std::size_t>(instance.num_resources()));
-  sets.n_i.resize(static_cast<std::size_t>(instance.num_resources()));
-  std::vector<char> beta_dirty(n, 0);
-  for (const AgentId d : dirty) {
-    beta_dirty[static_cast<std::size_t>(d)] = 1;  // covers I_v changes
-  }
-  for (ResourceId i = 0; i < instance.num_resources(); ++i) {
-    const CoefSpan support = instance.resource_support(i);
-    bool affected = static_cast<std::size_t>(i) >= old_resources;
-    for (const Coef& entry : support) {
-      affected = affected || is_dirty[static_cast<std::size_t>(entry.id)] != 0;
-    }
-    if (!affected) {
-      continue;
-    }
-    current.clear();
-    std::size_t min_ball = std::numeric_limits<std::size_t>::max();
-    for (const Coef& entry : support) {
-      const auto& ball_j = balls[static_cast<std::size_t>(entry.id)];
-      min_ball = std::min(min_ball, ball_j.size());
-      next.clear();
-      std::set_union(current.begin(), current.end(), ball_j.begin(),
-                     ball_j.end(), std::back_inserter(next));
-      current.swap(next);
-    }
-    sets.N_i[static_cast<std::size_t>(i)] = current.size();
-    sets.n_i[static_cast<std::size_t>(i)] = min_ball;
-    // n_i/N_i moved: every member's β_j reads them.
-    for (const Coef& entry : support) {
-      beta_dirty[static_cast<std::size_t>(entry.id)] = 1;
-    }
-  }
-
+  sets.n_i.resize(sets.N_i.size());
   sets.beta.resize(n, 1.0);
-  for (AgentId j = 0; j < instance.num_agents(); ++j) {
-    if (beta_dirty[static_cast<std::size_t>(j)] == 0) {
-      continue;
+
+  // The affected rows: new ones, and every row whose support holds a
+  // dirty agent; β_j for the dirty agents (their I_j may have changed)
+  // and for every member of a recomputed resource (n_i/N_i moved).
+  // Each list is deduped with the stamps of one leased scratch.
+  ScratchPool<ViewScratch> local;
+  ScratchPool<ViewScratch>& leases = scratch != nullptr ? *scratch : local;
+  GrowthRows rows;
+  {
+    auto lease = leases.acquire();
+    fit_stamps(instance, *lease);
+    const StampGuard party_guard(lease->party_seen, rows.parties,
+                                 std::uint8_t{0});
+    const StampGuard resource_guard(lease->resource_seen, rows.resources,
+                                    std::uint8_t{0});
+    for (PartyId k = old_parties; k < instance.num_parties(); ++k) {
+      push_once(lease->party_seen, rows.parties, k);
     }
-    double beta = std::numeric_limits<double>::infinity();
-    for (const Coef& entry : instance.agent_resources(j)) {
-      const auto i = static_cast<std::size_t>(entry.id);
-      beta = std::min(beta, static_cast<double>(sets.n_i[i]) /
-                                static_cast<double>(sets.N_i[i]));
+    for (ResourceId i = old_resources; i < instance.num_resources(); ++i) {
+      push_once(lease->resource_seen, rows.resources, i);
     }
-    sets.beta[static_cast<std::size_t>(j)] = beta;
+    for (const AgentId d : dirty) {
+      for (const Coef& entry : instance.agent_parties(d)) {
+        push_once(lease->party_seen, rows.parties, entry.id);
+      }
+      for (const Coef& entry : instance.agent_resources(d)) {
+        push_once(lease->resource_seen, rows.resources, entry.id);
+      }
+    }
+    std::vector<std::int32_t>& beta_seen = lease->agent_local;  // all −1
+    const StampGuard agent_guard(beta_seen, rows.agents);
+    const auto collect_agent = [&](AgentId j) {
+      if (beta_seen[static_cast<std::size_t>(j)] < 0) {
+        rows.agents.push_back(j);
+        beta_seen[static_cast<std::size_t>(j)] = 0;
+      }
+    };
+    for (const AgentId d : dirty) {
+      collect_agent(d);
+    }
+    for (const ResourceId i : rows.resources) {
+      for (const Coef& entry : instance.resource_support(i)) {
+        collect_agent(entry.id);
+      }
+    }
   }
+  growth_rows(instance, balls, rows, sets, pool, leases);
   summarize(sets);
 }
 

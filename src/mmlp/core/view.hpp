@@ -18,8 +18,13 @@
 // form (one Coef array + offsets per side), mirroring Instance; the hot
 // extraction path (one view per agent inside Theorem 3's algorithm) goes
 // through extract_view_into + ViewScratch, which reuses an O(1)
-// global→local stamp map and all intermediate buffers so a steady-state
-// extraction performs no heap allocation.
+// global→local stamp map, per-id dedup stamps and all intermediate
+// buffers so a steady-state extraction performs no heap allocation.
+//
+// The growth sets are computed by one row kernel, shared by
+// compute_growth_sets (every row) and repair_growth_sets (the rows a
+// delta reaches), chunked on a thread pool with ViewScratch leases for
+// its per-worker stamp maps.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +35,10 @@
 #include "mmlp/lp/simplex.hpp"
 
 namespace mmlp {
+
+class ThreadPool;
+template <typename T>
+class ScratchPool;
 
 /// The subinstance visible to one agent.
 struct LocalView {
@@ -67,14 +76,18 @@ struct LocalView {
   void clear();
 };
 
-/// Reusable workspace for view extraction and view-LP solving. One per
-/// worker thread; every buffer (including the global→local agent map,
-/// kept all −1 between calls and reset via the touched list) survives
+/// Reusable workspace for view extraction, view-LP solving and the
+/// growth-set kernel. One per worker thread; every buffer (including the
+/// global→local agent map, kept all −1 between calls, and the per-id
+/// dedup stamps, kept all 0; each reset via its touched list) survives
 /// across agents so the per-agent loops of Theorem 3 do not allocate.
 struct ViewScratch {
   std::vector<std::int32_t> agent_local;  ///< global agent -> local id, −1 outside
-  std::vector<ResourceId> resource_ids;
-  std::vector<PartyId> party_ids;
+  std::vector<std::uint8_t> resource_seen;  ///< 1 while collected, else 0
+  std::vector<std::uint8_t> party_seen;     ///< 1 while collected, else 0
+  std::vector<ResourceId> resource_ids;  ///< unique I^u candidates
+  std::vector<PartyId> party_ids;        ///< unique K^u candidates
+  std::vector<AgentId> touched_agents;   ///< growth kernel: U_i members
   LpProblem lp;                 ///< reused row storage for view_lp_into
   SimplexWorkspace simplex;     ///< reused tableau memory for solve_lp
 };
@@ -146,8 +159,13 @@ struct GrowthSets {
 /// Requires every V_k to be a clique in the ball structure, which holds
 /// when the balls come from the full hypergraph H (not the
 /// collaboration-oblivious one) — then S_k ⊇ V_k is nonempty.
+/// The rows run chunked on `pool` (nullptr = ThreadPool::global()), each
+/// chunk on a ViewScratch leased from `scratch` (nullptr = a pool local
+/// to the call); the integers do not depend on either.
 GrowthSets compute_growth_sets(const Instance& instance,
-                               const std::vector<std::vector<AgentId>>& balls);
+                               const std::vector<std::vector<AgentId>>& balls,
+                               ThreadPool* pool = nullptr,
+                               ScratchPool<ViewScratch>* scratch = nullptr);
 
 /// Surgical repair of a cached GrowthSets after an instance delta.
 /// `balls` is the repaired ball cache of the same radius; `dirty` is the
@@ -158,9 +176,12 @@ GrowthSets compute_growth_sets(const Instance& instance,
 /// recomputed resource; all other entries are reused. The result is
 /// element-for-element identical to compute_growth_sets on the mutated
 /// instance. Entity additions grow the vectors (new rows are always
-/// recomputed); removals need a from-scratch recompute instead.
+/// recomputed); removals need a from-scratch recompute instead. `pool`
+/// and `scratch` as for compute_growth_sets.
 void repair_growth_sets(const Instance& instance,
                         const std::vector<std::vector<AgentId>>& balls,
-                        std::span<const AgentId> dirty, GrowthSets& sets);
+                        std::span<const AgentId> dirty, GrowthSets& sets,
+                        ThreadPool* pool = nullptr,
+                        ScratchPool<ViewScratch>* scratch = nullptr);
 
 }  // namespace mmlp

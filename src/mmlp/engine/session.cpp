@@ -208,7 +208,8 @@ const GrowthSets& Session::growth_sets(std::int32_t radius,
   obs::ObsSpan span("session.build_growth", "engine");
   WallTimer timer;
   auto [it, inserted] = growth_.emplace(
-      key, Stamped<GrowthSets>{compute_growth_sets(*instance_, cached_balls),
+      key, Stamped<GrowthSets>{compute_growth_sets(*instance_, cached_balls,
+                                                   pool(), &view_scratch_),
                                instance_->revision()});
   cache_build_ms_ += timer.milliseconds();
   return it->second.value;
@@ -304,7 +305,7 @@ Session::ApplyReport Session::apply(const InstanceDelta& delta) {
   for (auto& [key, entry] : growth_) {
     if (effect.structural) {
       repair_growth_sets(*instance_, balls_.at(key).value, dirty_for(key),
-                         entry.value);
+                         entry.value, pool(), &view_scratch_);
       ++report.repaired_entries;
     }
     entry.revision = effect.revision;

@@ -247,7 +247,8 @@ class Session {
                                      bool collaboration_oblivious);
 
   /// Per-worker scratch pools (see ScratchPool): view extraction + LP
-  /// solving, and the distributed solvers' materialization bundles.
+  /// solving + the growth-set kernel's stamp maps, and the distributed
+  /// solvers' materialization bundles.
   ScratchPool<ViewScratch>& view_scratch() { return view_scratch_; }
   ScratchPool<DistScratch>& dist_scratch() { return dist_scratch_; }
 

@@ -7,6 +7,7 @@
 #include "mmlp/engine/wire.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -166,9 +167,12 @@ void append_escaped(std::ostringstream& oss, const std::string& text) {
 
 void append_number(std::ostringstream& oss, double value) {
   MMLP_CHECK_MSG(std::isfinite(value), "non-finite metric: " << value);
+  // Shortest round-trip text: strtod reads back the same bits, so equal
+  // strings still mean bitwise-equal doubles.
   char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  oss << buffer;
+  const char* end =
+      std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+  oss.write(buffer, end - buffer);
 }
 
 }  // namespace

@@ -339,6 +339,10 @@ class Tableau {
       pr[j] *= inv;
     }
     pr[pivot_col] = 1.0;  // kill roundoff
+    // Tiny negative rhs introduced by elimination are clamped to zero.
+    // Only the rows this pivot rewrites can carry a new one: every other
+    // row was clamped when it last changed (or starts at rhs >= 0), and
+    // clamping is idempotent, so this matches a sweep over all rows.
     for (std::size_t i = 0; i < basis_.size(); ++i) {
       if (i == pivot_row) {
         continue;
@@ -352,6 +356,7 @@ class Tableau {
         t[j] -= factor * pr[j];
       }
       t[pivot_col] = 0.0;
+      clamp_rhs(t[num_cols_]);
     }
     const double zfactor = zrow_[pivot_col];
     if (zfactor != 0.0) {
@@ -360,13 +365,14 @@ class Tableau {
       }
       zrow_[pivot_col] = 0.0;
     }
+    // The z-row update above reads the pivot row's unclamped rhs.
+    clamp_rhs(pr[num_cols_]);
     basis_[pivot_row] = static_cast<std::int64_t>(pivot_col);
-    // Clamp tiny negative rhs introduced by elimination.
-    for (std::size_t i = 0; i < basis_.size(); ++i) {
-      double& rhs = table_(i, num_cols_);
-      if (rhs < 0.0 && rhs > -options_.feas_tol) {
-        rhs = 0.0;
-      }
+  }
+
+  void clamp_rhs(double& rhs) const {
+    if (rhs < 0.0 && rhs > -options_.feas_tol) {
+      rhs = 0.0;
     }
   }
 

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <utility>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -441,6 +444,86 @@ TEST(Wire, ResultSerialisesTheBreakdownAndOptionalX) {
       engine::result_to_json_line(result, "", /*emit_x=*/true);
   EXPECT_EQ(with_x.find("\"id\""), std::string::npos);
   EXPECT_NE(with_x.find("\"x\": [0.5, 0.25]"), std::string::npos) << with_x;
+}
+
+TEST(Wire, DoublesRoundTripBitExactAtShortestLength) {
+  // 2^53 + 1 is not a double: its neighbours 2^53 and 2^53 + 2 go in x,
+  // and the integer itself goes in an int64 counter, which must not
+  // pass through a double on its way out.
+  const double two_53 = 9007199254740992.0;
+  engine::SolveResult result;
+  result.algorithm = "averaging";
+  result.has_solution = true;
+  result.x = {0.1, 1.0 / 3.0, -0.0, 5e-324, 1e300, two_53, two_53 + 2.0,
+              0.2, 1e5, 123456.789};
+  result.omega = 1.0 / 3.0;
+  result.total_ms = 0.1;
+  result.cache_build_ms = 1e-7;
+  result.solve_ms = 2.5e-3;
+  result.evaluate_ms = 1e300;
+  result.cache_hits = 1234567;
+  result.cache_misses = 100000;
+  result.counters["simplex_solves"] = 9007199254740993;
+  result.diagnostics["lp_solves"] = 100000.0;
+  result.diagnostics["ratio_bound"] = 0.1 + 0.2;
+  const std::string line = engine::result_to_json_line(result, "42", true);
+
+  // Every emitted double reads back with the same bits.
+  const auto read_back = [&line](std::size_t at) {
+    char* end = nullptr;
+    const double value = std::strtod(line.c_str() + at, &end);
+    EXPECT_NE(end, line.c_str() + at) << line.substr(at);
+    return std::make_pair(value, static_cast<std::size_t>(end - line.c_str()));
+  };
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  const auto field = [&](const std::string& key) {
+    const std::size_t at = line.find("\"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key << " in " << line;
+    return read_back(at + key.size() + 4).first;
+  };
+  EXPECT_TRUE(same_bits(field("omega"), result.omega));
+  EXPECT_TRUE(same_bits(field("total_ms"), result.total_ms));
+  EXPECT_TRUE(same_bits(field("cache_build_ms"), result.cache_build_ms));
+  EXPECT_TRUE(same_bits(field("solve_ms"), result.solve_ms));
+  EXPECT_TRUE(same_bits(field("evaluate_ms"), result.evaluate_ms));
+  EXPECT_TRUE(same_bits(field("lp_solves"), 100000.0));
+  EXPECT_TRUE(same_bits(field("ratio_bound"), 0.1 + 0.2));
+  std::size_t at = line.find("\"x\": [");
+  ASSERT_NE(at, std::string::npos) << line;
+  at += 6;
+  for (const double expected : result.x) {
+    const auto [value, end] = read_back(at);
+    EXPECT_TRUE(same_bits(value, expected))
+        << expected << " came back as " << value;
+    at = end + 2;  // ", "
+  }
+
+  // Shortest text: 0.2 is "0.2", not its 17-digit expansion, and the
+  // sign of −0 survives.
+  EXPECT_NE(line.find("[0.1, 0.3333333333333333, -0, 5e-324, 1e+300, "),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find(", 0.2, "), std::string::npos) << line;
+  // Integer-typed fields keep their integer text.
+  EXPECT_NE(line.find("\"id\": 42, "), std::string::npos) << line;
+  EXPECT_NE(line.find("\"agents\": 10, "), std::string::npos) << line;
+  EXPECT_NE(line.find("\"cache_hits\": 1234567, "), std::string::npos);
+  EXPECT_NE(line.find("\"cache_misses\": 100000"), std::string::npos);
+  EXPECT_NE(line.find("\"simplex_solves\": 9007199254740993}"),
+            std::string::npos)
+      << line;
+
+  engine::Session::ApplyReport report;
+  report.revision = 123456789;
+  report.touched_agents = 100000;
+  report.apply_ms = 0.2;
+  const std::string update = engine::apply_report_to_json_line(report, "8");
+  EXPECT_NE(update.find("\"id\": 8, "), std::string::npos) << update;
+  EXPECT_NE(update.find("\"revision\": 123456789, "), std::string::npos);
+  EXPECT_NE(update.find("\"touched_agents\": 100000, "), std::string::npos);
+  EXPECT_NE(update.find("\"apply_ms\": 0.2}"), std::string::npos) << update;
 }
 
 }  // namespace

@@ -87,4 +87,61 @@ inline bool removable(const Instance& instance, AgentId v) {
   return true;
 }
 
+/// One random delta that grows or re-wires but never removes: a new
+/// agent next to a random one, a new resource or party over two random
+/// agents, a support insert, or a support erase that keeps both sides
+/// nonempty (a value edit when no such erase exists). Ids never remap,
+/// so a session repairs its caches instead of rebuilding them.
+inline InstanceDelta random_growing_delta(Rng& rng, const Instance& instance) {
+  InstanceDelta delta;
+  const AgentId a = pick_agent(rng, instance);
+  const AgentId b = pick_agent(rng, instance);
+  switch (rng.next_below(5)) {
+    case 0: {
+      const AgentId fresh = instance.num_agents();
+      delta.add_agents(1);
+      delta.set_usage(instance.agent_resources(a).front().id, fresh,
+                      rng.uniform(0.1, 1.0));
+      const CoefSpan parties = instance.agent_parties(a);
+      if (!parties.empty()) {
+        delta.set_benefit(parties.front().id, fresh, rng.uniform(0.1, 1.0));
+      }
+      break;
+    }
+    case 1: {
+      const ResourceId fresh = instance.num_resources();
+      delta.add_resources(1).set_usage(fresh, a, rng.uniform(0.1, 1.0));
+      if (b != a) {
+        delta.set_usage(fresh, b, rng.uniform(0.1, 1.0));
+      }
+      break;
+    }
+    case 2: {
+      const PartyId fresh = instance.num_parties();
+      delta.add_parties(1).set_benefit(fresh, a, rng.uniform(0.1, 1.0));
+      if (b != a) {
+        delta.set_benefit(fresh, b, rng.uniform(0.1, 1.0));
+      }
+      break;
+    }
+    case 3: {
+      const auto i = static_cast<ResourceId>(rng.next_below(
+          static_cast<std::uint64_t>(instance.num_resources())));
+      delta.set_usage(i, a, rng.uniform(0.1, 1.0));
+      break;
+    }
+    default: {
+      const CoefSpan row = instance.agent_resources(a);
+      const Coef& entry = row[rng.next_below(row.size())];
+      if (row.size() >= 2 && instance.resource_support(entry.id).size() >= 2) {
+        delta.erase_usage(entry.id, a);
+      } else {
+        delta.set_usage(entry.id, a, rng.uniform(0.1, 1.0));
+      }
+      break;
+    }
+  }
+  return delta;
+}
+
 }  // namespace mmlp::testing
