@@ -50,15 +50,6 @@
 // scenario must report dedup_ratio >= 0.9 and speedup_vs_off >= 3,
 // with the random scenario not regressing.
 //
-// The shard sweep (<scenario>_shard_<algorithm>_S<k>) measures the
-// partitioned serving path of engine::ShardedSession against the S=1
-// monolithic session on the same instance: per-case counters carry the
-// partition economics (halo_agents, halo_fraction, build_ms for the
-// extract fan-out) and speedup_vs_mono. It runs its own size ladder —
-// the point of sharding is the 10^6..10^7 regime, so --scale full
-// pushes a 10^6-agent averaging sweep across S in {1, 2, 4, 8} and a
-// 10^7-agent safe case, far past the regular sweep's sizes.
-//
 // The thread sweep (grid_torus_<variant>_T<k>) re-measures the warm
 // averaging/safe/dedup/update workloads at T in {1, 2, 4, 8} dedicated
 // workers and reports speedup_vs_t1 / parallel_efficiency plus the
@@ -68,7 +59,6 @@
 
 #include "mmlp/dist/self_stabilizing_solver.hpp"
 #include "mmlp/engine/session.hpp"
-#include "mmlp/engine/sharded_session.hpp"
 #include "mmlp/engine/solver.hpp"
 #include "mmlp/util/bench_report.hpp"
 #include "mmlp/util/fault.hpp"
@@ -235,88 +225,6 @@ void run_update_resolve(mmlp::bench::Report& report, const std::string& scenario
     bench_case.counters["warm_full_ms"] = warm_full_ms;
     bench_case.counters["speedup_vs_cold"] =
         bench_case.wall_ms > 0.0 ? warm_full_ms / bench_case.wall_ms : 0.0;
-  }
-}
-
-/// The partitioned-serving sweep: one instance, solved monolithically
-/// (S=1) and through ShardedSessions of increasing shard count. Each
-/// sharded case reports the partition economics alongside the wall
-/// time; the S=1 wall is the baseline every speedup_vs_mono divides.
-/// Sizes are the sweep's own ladder — sharding exists for the
-/// 10^6..10^7-agent regime the regular sweep never reaches.
-void run_shard_sweep(mmlp::bench::Report& report, const std::string& scale,
-                     int reps) {
-  using namespace mmlp;
-  struct SweepPoint {
-    std::int64_t agents;
-    const char* algorithm;
-    std::vector<std::int32_t> shard_counts;
-    int reps;
-  };
-  std::vector<SweepPoint> points;
-  if (scale == "smoke") {
-    points.push_back({512, "averaging", {1, 2, 4, 8}, reps});
-  } else if (scale == "small") {
-    points.push_back({10000, "averaging", {1, 2, 4, 8}, reps});
-  } else {
-    // The headline regime: a full shard-count curve at 10^6 agents and
-    // a 10^7-agent case proving the partitioned path holds at a size
-    // where the monolithic cold build alone is the bottleneck.
-    points.push_back({1000000, "averaging", {1, 2, 4, 8}, 1});
-    points.push_back({10000000, "safe", {1, 8}, 1});
-  }
-
-  for (const SweepPoint& point : points) {
-    const Instance instance =
-        bench_scenarios::make_scenario("grid_torus", point.agents);
-    SolveRequest request;
-    request.algorithm = point.algorithm;
-    request.R = 1;
-    const std::string base = std::string("grid_torus_shard_") +
-                             point.algorithm + "_";
-    double mono_ms = 0.0;
-    for (const std::int32_t shards : point.shard_counts) {
-      SolveResult last;
-      if (shards == 1) {
-        mmlp::WallTimer build_timer;
-        Session session(instance);
-        (void)mmlp::engine::solve(session, request);  // prime
-        const double build_ms = build_timer.milliseconds();
-        auto& mono = report.run_case(
-            base + "S1", instance.num_agents(), point.reps,
-            [&] { last = mmlp::engine::solve(session, request); });
-        mono.counters["shards"] = 1.0;
-        mono.counters["halo_agents"] = 0.0;
-        mono.counters["build_ms"] = build_ms;
-        mono_ms = mono.wall_ms;
-        continue;
-      }
-      mmlp::WallTimer build_timer;
-      engine::ShardedSession session(
-          instance, engine::ShardedOptions{.shards = shards,
-                                           .halo_radius = 3});
-      (void)session.solve(request);  // prime every shard session
-      const double build_ms = build_timer.milliseconds();
-      auto& sharded = report.run_case(
-          base + "S" + std::to_string(shards), instance.num_agents(),
-          point.reps, [&] { last = session.solve(request); });
-      sharded.counters["shards"] = static_cast<double>(shards);
-      sharded.counters["halo_agents"] =
-          static_cast<double>(session.halo_agents());
-      sharded.counters["halo_fraction"] =
-          static_cast<double>(session.halo_agents()) /
-          static_cast<double>(instance.num_agents());
-      sharded.counters["pool_threads"] =
-          static_cast<double>(session.worker_threads());
-      sharded.counters["build_ms"] = build_ms;
-      sharded.counters["mono_ms"] = mono_ms;
-      sharded.counters["speedup_vs_mono"] =
-          sharded.wall_ms > 0.0 ? mono_ms / sharded.wall_ms : 0.0;
-      if (const auto it = last.diagnostics.find("lp_solves");
-          it != last.diagnostics.end()) {
-        sharded.counters["lp_solves"] = it->second;
-      }
-    }
   }
 }
 
@@ -548,8 +456,6 @@ int main(int argc, char** argv) {
                      {.algorithm = "safe"}, reps);
           }
         }
-        // The partitioned-serving curve, on its own size ladder.
-        run_shard_sweep(report, scale, reps);
         // The multi-core scaling curve (T in {1,2,4,8}) with the
         // CI-gated efficiency counters.
         run_thread_sweep(report, scale, reps);

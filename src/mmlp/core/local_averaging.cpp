@@ -1,9 +1,13 @@
 // Theorem 3 / Section 5.1: solve every agent's view LP (9), then damp
-// the ball average by β_j (eq. (10)). The per-agent loop is chunked so
-// each worker amortises one ViewScratch — view extraction, LP rows and
-// the simplex tableau all reuse the same memory across the agents of a
-// chunk; the outputs (view_omega, view_x) are per-agent slots, so the
-// result is identical to the serial run.
+// the ball average by β_j (eq. (10)). Two kernels over agent subsets do
+// all the work: solve_views (LP (9) for the listed agents) and gather
+// (eq. (10) for the listed agents). The full solve lists every agent,
+// dedup lists the orbit representatives, and the incremental splice
+// lists the dirty regions. Both kernels are chunked so each worker
+// amortises one ViewScratch — view extraction, LP rows and the simplex
+// tableau reuse the same memory across the agents of a chunk; the
+// outputs are per-agent slots, so the result is identical to the
+// serial run.
 //
 // With options.deduplicate the LP loop runs over view-orbit
 // representatives instead of agents (view_class.hpp): the view LP is a
@@ -19,7 +23,7 @@
 // per-worker partial buffers could not offer that: merging per-chunk
 // partial sums regroups the additions, which changes the rounding.
 //
-// The implementation lives in local_averaging_with: every expensive
+// The implementation lives in local_averaging_impl: every expensive
 // derived structure (communication graph, balls, growth sets, view
 // orbits, worker scratch) is pulled from an engine::Session, and the
 // classic free function simply runs against a session that lives for
@@ -40,24 +44,86 @@ namespace mmlp {
 
 namespace {
 
-LocalAveragingResult local_averaging_impl(
-    engine::Session& session, const LocalAveragingOptions& options,
-    std::vector<std::vector<double>>* keep_view_x);
+using Balls = std::vector<std::vector<AgentId>>;
 
-}  // namespace
-
-LocalAveragingResult local_averaging(const Instance& instance,
-                                     const LocalAveragingOptions& options) {
-  engine::Session session(instance);
-  return local_averaging_with(session, options);
+/// Solve the view LP (9) of the `count` agents u = agent_at(0..count-1)
+/// and write view_omega[u] and view_x[u] in place. Every caller (all
+/// agents, orbit representatives, a dirty region) runs this one loop,
+/// so a view solved on any path reproduces the same bits. Chunked so
+/// each task leases one scratch workspace from the session pool.
+template <typename AgentAt>
+void solve_views(engine::Session& session, const LocalAveragingOptions& options,
+                 const Balls& balls, std::size_t count, AgentAt agent_at,
+                 std::vector<double>& view_omega,
+                 std::vector<std::vector<double>>& view_x) {
+  const Instance& instance = session.instance();
+  chunked_parallel_for(
+      count,
+      [&](std::size_t begin, std::size_t end) {
+        obs::ObsSpan chunk("averaging.view_lp.chunk", "solver");
+        auto scratch = session.view_scratch().acquire();
+        LocalView view;
+        for (std::size_t k = begin; k < end; ++k) {
+          // One view LP per iteration: poll the cancel token here so
+          // deadlines fire promptly even on a single-thread pool.
+          cancel::checkpoint();
+          const AgentId u = agent_at(k);
+          const auto uu = static_cast<std::size_t>(u);
+          extract_view_into(instance, u, options.R, balls[uu], view, *scratch);
+          ViewLpSolution solution = solve_view_lp(view, options.lp, *scratch);
+          view_omega[uu] = solution.omega;
+          view_x[uu] = std::move(solution.x);
+        }
+      },
+      session.pool());
 }
 
-LocalAveragingResult local_averaging_with(engine::Session& session,
-                                          const LocalAveragingOptions& options) {
-  return local_averaging_impl(session, options, nullptr);
+/// eq. (10) for the `count` agents j = agent_at(0..count-1): x[j] is
+/// the damped average (1/|V^j|) Σ_{u∈V^j} x^u_j. Agent j reads x^u_j
+/// for u ∈ V^j (u ∈ V^j ⇔ j ∈ V^u — balls are symmetric — so j's local
+/// index inside V^u exists and is found by binary search in the sorted
+/// ball) and adds in ascending u, whatever the thread count or the
+/// agent subset. `beta_global` is read only by kBetaGlobal.
+template <typename AgentAt>
+void gather(engine::Session& session, const LocalAveragingOptions& options,
+            const Balls& balls, const std::vector<std::vector<double>>& view_x,
+            const GrowthSets& sets, double beta_global, std::size_t count,
+            AgentAt agent_at, std::vector<double>& x) {
+  chunked_parallel_for(
+      count,
+      [&](std::size_t begin, std::size_t end) {
+        obs::ObsSpan chunk("averaging.gather.chunk", "solver");
+        for (std::size_t k = begin; k < end; ++k) {
+          const AgentId j = agent_at(k);
+          const auto jj = static_cast<std::size_t>(j);
+          MMLP_CHECK_EQ(balls[jj].size(), view_x[jj].size());
+          double sum = 0.0;
+          for (const AgentId u : balls[jj]) {
+            const auto& ball_u = balls[static_cast<std::size_t>(u)];
+            const auto it = std::lower_bound(ball_u.begin(), ball_u.end(), j);
+            MMLP_CHECK(it != ball_u.end() && *it == j);
+            sum += view_x[static_cast<std::size_t>(u)]
+                         [static_cast<std::size_t>(it - ball_u.begin())];
+          }
+          MMLP_CHECK_GT(sets.ball_size[jj], 0u);
+          const double average =
+              sum / static_cast<double>(sets.ball_size[jj]);
+          switch (options.damping) {
+            case AveragingDamping::kBetaPerAgent:
+              x[jj] = sets.beta[jj] * average;
+              break;
+            case AveragingDamping::kBetaGlobal:
+              x[jj] = beta_global * average;
+              break;
+            case AveragingDamping::kNone:
+            case AveragingDamping::kNoneThenScale:
+              x[jj] = average;
+              break;
+          }
+        }
+      },
+      session.pool());
 }
-
-namespace {
 
 /// The full algorithm; `keep_view_x` (optional) receives every agent's
 /// view-LP solution so an incremental memo can splice later edits.
@@ -73,101 +139,54 @@ LocalAveragingResult local_averaging_impl(
     return result;
   }
 
-  const std::vector<std::vector<AgentId>>& balls =
+  const Balls& balls =
       session.balls(options.R, options.collaboration_oblivious);
+  const auto every_agent = [](std::size_t k) {
+    return static_cast<AgentId>(k);
+  };
 
   // Solve the local LP (9) — once per agent, or once per view orbit
-  // when deduplicating. Parallel loops are chunked so each task leases
-  // one scratch workspace from the session pool.
+  // when deduplicating, then copy each representative's solution to
+  // the other members of its orbit: they share its exact local
+  // structure, so the copy is the bitwise per-agent result.
   std::vector<std::vector<double>> view_x(n);
   result.view_omega.assign(n, 0.0);
-  const auto solve_all_agents = [&] {
+  const ViewClassIndex* orbits = nullptr;
+  {
     obs::ObsSpan stage("averaging.view_lps", "solver");
+    if (!options.deduplicate) {
+      result.lp_solves = n;
+      solve_views(session, options, balls, n, every_agent, result.view_omega,
+                  view_x);
+    } else {
+      orbits =
+          &session.view_classes(options.R, options.collaboration_oblivious);
+      const std::vector<AgentId>& reps = orbits->orbit_rep;
+      result.lp_solves = reps.size();
+      result.dedup_ratio = orbits->dedup_ratio();
+      solve_views(
+          session, options, balls, reps.size(),
+          [&](std::size_t k) { return reps[k]; }, result.view_omega, view_x);
+    }
+  }
+  // With all-singleton orbits (typical on random instances) every agent
+  // is its own representative and there is nothing to copy.
+  if (orbits != nullptr && orbits->num_orbits() < n) {
+    obs::ObsSpan stage("averaging.scatter", "solver");
     chunked_parallel_for(
         n,
         [&](std::size_t begin, std::size_t end) {
-          obs::ObsSpan chunk("averaging.view_lp.chunk", "solver");
-          auto scratch = session.view_scratch().acquire();
-          LocalView view;
+          obs::ObsSpan chunk("averaging.scatter.chunk", "solver");
           for (std::size_t u = begin; u < end; ++u) {
-            // One view LP per iteration: poll the cancel token here so
-            // deadlines fire promptly even on a single-thread pool.
-            cancel::checkpoint();
-            extract_view_into(instance, static_cast<AgentId>(u), options.R,
-                              balls[u], view, *scratch);
-            ViewLpSolution solution = solve_view_lp(view, options.lp, *scratch);
-            result.view_omega[u] = solution.omega;
-            view_x[u] = std::move(solution.x);
+            const auto rep = static_cast<std::size_t>(orbits->orbit_rep[
+                static_cast<std::size_t>(orbits->orbit_of[u])]);
+            if (u != rep) {  // representatives already hold their solution
+              result.view_omega[u] = result.view_omega[rep];
+              view_x[u] = view_x[rep];
+            }
           }
         },
         session.pool());
-  };
-  if (!options.deduplicate) {
-    result.lp_solves = n;
-    solve_all_agents();
-  } else {
-    const ViewClassIndex& orbits =
-        session.view_classes(options.R, options.collaboration_oblivious);
-    const std::vector<AgentId>& reps = orbits.orbit_rep;
-    result.lp_solves = reps.size();
-    result.dedup_ratio = orbits.dedup_ratio();
-    if (reps.size() == n) {
-      // Every orbit is a singleton (no symmetry to exploit — typical on
-      // random instances): representatives ARE the agents in ascending
-      // order, so the plain per-agent loop produces bitwise the same
-      // result while skipping the rep_x staging and the copy pass.
-      // This is the early-bail that keeps dedup from ever being a loss
-      // (bench case dedup_warm_nosym proves parity).
-      solve_all_agents();
-    } else {
-      // One representative LP per orbit, solved exactly as the per-agent
-      // path would solve it (same extraction, same scratch, same simplex).
-      std::vector<std::vector<double>> rep_x(reps.size());
-      std::vector<double> rep_omega(reps.size(), 0.0);
-      {
-        obs::ObsSpan stage("averaging.rep_lps", "solver");
-        chunked_parallel_for(
-            reps.size(),
-            [&](std::size_t begin, std::size_t end) {
-              obs::ObsSpan chunk("averaging.rep_lp.chunk", "solver");
-              auto scratch = session.view_scratch().acquire();
-              LocalView view;
-              for (std::size_t g = begin; g < end; ++g) {
-                cancel::checkpoint();
-                const auto u = static_cast<std::size_t>(reps[g]);
-                extract_view_into(instance, reps[g], options.R, balls[u], view,
-                                  *scratch);
-                ViewLpSolution solution =
-                    solve_view_lp(view, options.lp, *scratch);
-                rep_omega[g] = solution.omega;
-                rep_x[g] = std::move(solution.x);
-              }
-            },
-            session.pool());
-      }
-
-      // Copy each representative solution to its members: they share its
-      // exact local structure, so the copy is the bitwise per-agent result.
-      obs::ObsSpan stage("averaging.scatter", "solver");
-      chunked_parallel_for(
-          n,
-          [&](std::size_t begin, std::size_t end) {
-            obs::ObsSpan chunk("averaging.scatter.chunk", "solver");
-            for (std::size_t u = begin; u < end; ++u) {
-              const auto g = static_cast<std::size_t>(orbits.orbit_of[u]);
-              result.view_omega[u] = rep_omega[g];
-              if (orbits.orbit_size[g] == 1) {
-                // Singleton orbit: u is its only member (and its rep), so
-                // the solution can move — no-symmetry instances then pay
-                // no copy overhead over the per-agent path.
-                view_x[u] = std::move(rep_x[g]);
-              } else {
-                view_x[u] = rep_x[g];
-              }
-            }
-          },
-          session.pool());
-    }
   }
 
   // β_j from the growth sets (Figure 2 machinery).
@@ -178,65 +197,19 @@ LocalAveragingResult local_averaging_impl(
   result.ratio_bound = sets.ratio_bound();
   result.peak_ball = sets.peak_ball;
 
-  // x̃_j = (β_j / |V^j|) Σ_{u∈V^j} x^u_j, gathered in parallel: agent j
-  // owns its own sum and reads x^u_j for u ∈ V^j (u ∈ V^j ⇔ j ∈ V^u —
-  // balls are symmetric — so j's local index inside V^u exists and is
-  // found by binary search in the sorted ball). Adding in ascending u is
-  // the exact addition order of the former serial scatter loop, so the
-  // result is bitwise identical to it regardless of the thread count.
-  std::vector<double> accumulated(n, 0.0);
-  obs::ObsSpan gather_stage("averaging.gather", "solver");
-  chunked_parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        obs::ObsSpan chunk("averaging.gather.chunk", "solver");
-        for (std::size_t j = begin; j < end; ++j) {
-          // The shape check rides inside the chunk (it used to be a
-          // serial O(n) pre-scan ahead of the parallel region).
-          MMLP_CHECK_EQ(balls[j].size(), view_x[j].size());
-          const AgentId self = static_cast<AgentId>(j);
-          double sum = 0.0;
-          for (const AgentId u : balls[j]) {
-            const auto& ball_u = balls[static_cast<std::size_t>(u)];
-            const auto it =
-                std::lower_bound(ball_u.begin(), ball_u.end(), self);
-            MMLP_CHECK(it != ball_u.end() && *it == self);
-            sum += view_x[static_cast<std::size_t>(u)]
-                         [static_cast<std::size_t>(it - ball_u.begin())];
-          }
-          accumulated[j] = sum;
-        }
-      },
-      session.pool());
-  // β_min is a serial O(n) fold (cheap, and the min must be global);
-  // the damping tail itself writes per-agent slots only, so it runs as
-  // one more parallel pass instead of the former serial loop.
+  // β_min is a serial O(n) fold (the min must be global), paid only by
+  // the damping rule that reads it.
   double beta_global = 1.0;
-  for (const double beta : result.beta) {
-    beta_global = std::min(beta_global, beta);
+  if (options.damping == AveragingDamping::kBetaGlobal) {
+    for (const double beta : sets.beta) {
+      beta_global = std::min(beta_global, beta);
+    }
   }
-  chunked_parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t j = begin; j < end; ++j) {
-          MMLP_CHECK_GT(result.ball_size[j], 0u);
-          const double average =
-              accumulated[j] / static_cast<double>(result.ball_size[j]);
-          switch (options.damping) {
-            case AveragingDamping::kBetaPerAgent:
-              result.x[j] = result.beta[j] * average;
-              break;
-            case AveragingDamping::kBetaGlobal:
-              result.x[j] = beta_global * average;
-              break;
-            case AveragingDamping::kNone:
-            case AveragingDamping::kNoneThenScale:
-              result.x[j] = average;
-              break;
-          }
-        }
-      },
-      session.pool());
+  {
+    obs::ObsSpan stage("averaging.gather", "solver");
+    gather(session, options, balls, view_x, sets, beta_global, n, every_agent,
+           result.x);
+  }
   if (options.damping == AveragingDamping::kNoneThenScale) {
     scale_to_feasible(instance, result.x);
   }
@@ -310,7 +283,7 @@ engine::AveragingMemo& refresh_memo(engine::Session& session,
   // stale so the next request falls back to a full solve instead of
   // serving half-spliced state.
   memo.valid = false;
-  const std::vector<std::vector<AgentId>>& balls =
+  const Balls& balls =
       session.balls(options.R, options.collaboration_oblivious);
   // The growth sets were repaired in place by apply(); the gather reads
   // β and |V^j| from them directly.
@@ -322,56 +295,20 @@ engine::AveragingMemo& refresh_memo(engine::Session& session,
   memo.view_omega.resize(n, 0.0);
   memo.x.resize(n, 0.0);
 
-  // 1. Re-solve the view LPs of B(T, R) — same extraction, scratch and
-  //    simplex as the full loop, so a re-solved unchanged view
-  //    reproduces its previous bits exactly.
+  // Re-solve the view LPs of B(T, R) with the full path's own loop, so
+  // a re-solved unchanged view reproduces its previous bits exactly;
+  // then re-gather eq. (10) over B(T, 2R) in the same ascending-u
+  // addition order, over the spliced view solutions. Spliceable damping
+  // never reads beta_global.
   const std::vector<AgentId>& resolve = *dirty_view;
-  obs::ObsSpan incremental_span("averaging.incremental", "solver");
-  chunked_parallel_for(
-      resolve.size(),
-      [&](std::size_t begin, std::size_t end) {
-        obs::ObsSpan chunk("averaging.incremental.view_lp.chunk", "solver");
-        auto scratch = session.view_scratch().acquire();
-        LocalView view;
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          cancel::checkpoint();
-          const AgentId u = resolve[idx];
-          const auto uu = static_cast<std::size_t>(u);
-          extract_view_into(instance, u, options.R, balls[uu], view, *scratch);
-          ViewLpSolution solution = solve_view_lp(view, options.lp, *scratch);
-          memo.view_omega[uu] = solution.omega;
-          memo.view_x[uu] = std::move(solution.x);
-        }
-      },
-      session.pool());
-
-  // 2. Re-gather eq. (10) over B(T, 2R): the same ascending-u addition
-  //    order as the full gather, over the spliced view solutions.
   const std::vector<AgentId>& regather = *dirty_gather;
-  chunked_parallel_for(
-      regather.size(),
-      [&](std::size_t begin, std::size_t end) {
-        obs::ObsSpan chunk("averaging.incremental.gather.chunk", "solver");
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const AgentId j = regather[idx];
-          const auto jj = static_cast<std::size_t>(j);
-          double sum = 0.0;
-          for (const AgentId u : balls[jj]) {
-            const auto& ball_u = balls[static_cast<std::size_t>(u)];
-            const auto it = std::lower_bound(ball_u.begin(), ball_u.end(), j);
-            MMLP_CHECK(it != ball_u.end() && *it == j);
-            sum += memo.view_x[static_cast<std::size_t>(u)]
-                              [static_cast<std::size_t>(it - ball_u.begin())];
-          }
-          MMLP_CHECK_GT(sets.ball_size[jj], 0u);
-          const double average =
-              sum / static_cast<double>(sets.ball_size[jj]);
-          memo.x[jj] = options.damping == AveragingDamping::kBetaPerAgent
-                           ? sets.beta[jj] * average
-                           : average;
-        }
-      },
-      session.pool());
+  obs::ObsSpan incremental_span("averaging.incremental", "solver");
+  solve_views(
+      session, options, balls, resolve.size(),
+      [&](std::size_t k) { return resolve[k]; }, memo.view_omega, memo.view_x);
+  gather(
+      session, options, balls, memo.view_x, sets, 1.0, regather.size(),
+      [&](std::size_t k) { return regather[k]; }, memo.x);
 
   memo.scalars = AveragingScalars{.ratio_bound = sets.ratio_bound(),
                                   .peak_ball = sets.peak_ball,
@@ -387,6 +324,17 @@ engine::AveragingMemo& refresh_memo(engine::Session& session,
 }
 
 }  // namespace
+
+LocalAveragingResult local_averaging(const Instance& instance,
+                                     const LocalAveragingOptions& options) {
+  engine::Session session(instance);
+  return local_averaging_with(session, options);
+}
+
+LocalAveragingResult local_averaging_with(engine::Session& session,
+                                          const LocalAveragingOptions& options) {
+  return local_averaging_impl(session, options, nullptr);
+}
 
 LocalAveragingResult local_averaging_incremental(
     engine::Session& session, const LocalAveragingOptions& options,

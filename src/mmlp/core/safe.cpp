@@ -6,12 +6,8 @@
 #include "mmlp/core/safe.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <optional>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 
 #include "mmlp/engine/session.hpp"
 #include "mmlp/util/check.hpp"
@@ -44,58 +40,6 @@ std::vector<double> safe_solution_impl(const Instance& instance,
   return x;
 }
 
-/// Dedup path: group agents by their sorted (a_iv bits, |V_i|) profile —
-/// the entire radius-1 knowledge eq. (2) reads — and evaluate each
-/// profile once. min over a multiset is order-independent, so the
-/// grouped evaluation is bitwise equal to the per-agent one.
-std::vector<double> safe_solution_dedup(const Instance& instance,
-                                        ThreadPool* pool) {
-  obs::ObsSpan span("safe.solve_dedup", "core");
-  const auto n = static_cast<std::size_t>(instance.num_agents());
-  std::vector<double> x(n, 0.0);
-  if (n == 0) {
-    return x;
-  }
-  std::vector<std::string> profiles(n);
-  chunked_parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
-        for (std::size_t v = begin; v < end; ++v) {
-          pairs.clear();
-          for (const Coef& entry :
-               instance.agent_resources(static_cast<AgentId>(v))) {
-            std::uint64_t bits = 0;
-            std::memcpy(&bits, &entry.value, sizeof bits);
-            pairs.emplace_back(
-                bits, static_cast<std::uint64_t>(
-                          instance.resource_support_size(entry.id)));
-          }
-          std::sort(pairs.begin(), pairs.end());
-          std::string& profile = profiles[v];
-          profile.reserve(pairs.size() * 16);
-          for (const auto& [bits, size] : pairs) {
-            char bytes[16];
-            std::memcpy(bytes, &bits, 8);
-            std::memcpy(bytes + 8, &size, 8);
-            profile.append(bytes, sizeof bytes);
-          }
-        }
-      },
-      pool);
-  std::unordered_map<std::string_view, double> value_of;
-  value_of.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto [it, inserted] =
-        value_of.try_emplace(std::string_view(profiles[v]), 0.0);
-    if (inserted) {
-      it->second = safe_choice_unchecked(instance, static_cast<AgentId>(v));
-    }
-    x[v] = it->second;
-  }
-  return x;
-}
-
 }  // namespace
 
 double safe_choice(CoefSpan agent_resources,
@@ -118,10 +62,8 @@ std::vector<double> safe_solution(const Instance& instance) {
 }
 
 std::vector<double> safe_solution_with(engine::Session& session,
-                                       const SafeOptions& options) {
-  return options.deduplicate
-             ? safe_solution_dedup(session.instance(), session.pool())
-             : safe_solution_impl(session.instance(), session.pool());
+                                       const SafeOptions& /*options*/) {
+  return safe_solution_impl(session.instance(), session.pool());
 }
 
 std::vector<double> safe_solution_incremental(engine::Session& session,
@@ -129,8 +71,7 @@ std::vector<double> safe_solution_incremental(engine::Session& session,
                                               IncrementalStats* stats) {
   const Instance& instance = session.instance();
   const auto n = static_cast<std::size_t>(instance.num_agents());
-  // One memo regardless of the dedup knob: the dedup path is bitwise
-  // equal to the per-agent one, so their solutions are interchangeable.
+  // One memo regardless of the dedup knob, which safe ignores.
   engine::SolutionMemo& memo = session.solution_memo("safe");
   IncrementalStats accounting;
 

@@ -11,6 +11,7 @@
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/obs.hpp"
 #include "mmlp/util/parallel.hpp"
+#include "mmlp/util/scratch_pool.hpp"
 
 namespace mmlp {
 
@@ -64,21 +65,25 @@ std::string serialize_exact_key(const LocalView& view) {
 }
 
 /// Write keys[u] for the `count` agents u = agent_at(0..count-1), in
-/// parallel; each chunk reuses one extraction scratch.
+/// parallel; each chunk leases one extraction scratch from `scratch`
+/// (nullptr = a pool local to the call).
 template <typename AgentAt>
 void serialize_views(const Instance& instance,
                      const std::vector<std::vector<AgentId>>& balls,
                      std::int32_t radius, std::size_t count, AgentAt agent_at,
-                     std::vector<std::string>& keys, ThreadPool* pool) {
+                     std::vector<std::string>& keys, ThreadPool* pool,
+                     ScratchPool<ViewScratch>* scratch) {
+  ScratchPool<ViewScratch> local;
+  ScratchPool<ViewScratch>& leases = scratch != nullptr ? *scratch : local;
   chunked_parallel_for(
       count,
       [&](std::size_t begin, std::size_t end) {
-        ViewScratch scratch;
+        auto lease = leases.acquire();
         LocalView view;
         for (std::size_t k = begin; k < end; ++k) {
           const AgentId u = agent_at(k);
           const auto uu = static_cast<std::size_t>(u);
-          extract_view_into(instance, u, radius, balls[uu], view, scratch);
+          extract_view_into(instance, u, radius, balls[uu], view, *lease);
           keys[uu] = serialize_exact_key(view);
         }
       },
@@ -123,7 +128,7 @@ double ViewClassIndex::dedup_ratio() const {
 ViewClassIndex build_view_class_index(
     const Instance& instance, const std::vector<std::vector<AgentId>>& balls,
     std::int32_t radius, bool collaboration_oblivious, ThreadPool* pool,
-    bool keep_keys) {
+    bool keep_keys, ScratchPool<ViewScratch>* scratch) {
   const auto n = static_cast<std::size_t>(instance.num_agents());
   MMLP_CHECK_EQ(balls.size(), n);
 
@@ -137,7 +142,7 @@ ViewClassIndex build_view_class_index(
     serialize_views(
         instance, balls, radius, n,
         [](std::size_t k) { return static_cast<AgentId>(k); },
-        index.exact_keys, pool);
+        index.exact_keys, pool, scratch);
   }
   regroup(index);
   if (!keep_keys) {
@@ -149,7 +154,8 @@ ViewClassIndex build_view_class_index(
 void repair_view_class_index(const Instance& instance,
                              const std::vector<std::vector<AgentId>>& balls,
                              std::span<const AgentId> dirty,
-                             ViewClassIndex& index, ThreadPool* pool) {
+                             ViewClassIndex& index, ThreadPool* pool,
+                             ScratchPool<ViewScratch>* scratch) {
   MMLP_CHECK_MSG(index.repairable,
                  "view-class index was built without keep_keys; rebuild it "
                  "instead of repairing");
@@ -170,7 +176,8 @@ void repair_view_class_index(const Instance& instance,
   index.exact_keys.resize(n);
   serialize_views(
       instance, balls, index.radius, dirty.size(),
-      [&](std::size_t k) { return dirty[k]; }, index.exact_keys, pool);
+      [&](std::size_t k) { return dirty[k]; }, index.exact_keys, pool,
+      scratch);
   regroup(index);
 }
 

@@ -36,6 +36,9 @@
 namespace mmlp {
 
 class ThreadPool;  // util/parallel.hpp
+struct ViewScratch;  // core/view.hpp
+template <typename T>
+class ScratchPool;  // util/scratch_pool.hpp
 
 /// The per-agent orbit partition of one (radius, hypergraph-mode) view
 /// family, cached by engine::Session and consumed by the dedup solve
@@ -69,12 +72,15 @@ struct ViewClassIndex {
 /// Partition all agents by the exact keys of their radius-`radius` views.
 /// `balls` must be all_balls of the matching hypergraph mode (the
 /// engine::Session cache provides both). Extraction and serialization run
-/// in parallel on `pool` (nullptr = global pool); the grouping itself is
-/// deterministic and independent of the thread count.
+/// in parallel on `pool` (nullptr = global pool), each chunk on a
+/// ViewScratch leased from `scratch` (nullptr = a pool local to the
+/// call); the grouping itself is deterministic and independent of the
+/// thread count.
 ViewClassIndex build_view_class_index(
     const Instance& instance, const std::vector<std::vector<AgentId>>& balls,
     std::int32_t radius, bool collaboration_oblivious,
-    ThreadPool* pool = nullptr, bool keep_keys = false);
+    ThreadPool* pool = nullptr, bool keep_keys = false,
+    ScratchPool<ViewScratch>* scratch = nullptr);
 
 /// Surgical repair of a keep_keys index after an instance delta: only
 /// the `dirty` agents (sorted; every agent whose radius-`index.radius`
@@ -84,10 +90,12 @@ ViewClassIndex build_view_class_index(
 /// from-scratch build on the mutated instance would produce them.
 /// `balls` is the repaired ball cache of the index's (radius, mode).
 /// Agent additions grow the index (new agents must be dirty); removals
-/// need a full rebuild.
+/// need a full rebuild. `pool` and `scratch` as for
+/// build_view_class_index.
 void repair_view_class_index(const Instance& instance,
                              const std::vector<std::vector<AgentId>>& balls,
                              std::span<const AgentId> dirty,
-                             ViewClassIndex& index, ThreadPool* pool = nullptr);
+                             ViewClassIndex& index, ThreadPool* pool = nullptr,
+                             ScratchPool<ViewScratch>* scratch = nullptr);
 
 }  // namespace mmlp

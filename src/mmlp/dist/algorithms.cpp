@@ -121,6 +121,39 @@ double averaging_pipeline(const Instance& instance, AgentId j,
   return averaging_decision(scratch.world, h, options, scratch.view);
 }
 
+namespace {
+
+/// Run the materialize-and-solve pipeline for the `count` agents
+/// j = agent_at(0..count-1) and write x[j]. Every caller (all agents,
+/// orbit representatives, a dirty region) runs this one loop. Chunked
+/// so each worker leases one materialization arena and one view/LP
+/// scratch for all its agents; leases come from the session pool so
+/// the buffers stay warm across solves.
+template <typename AgentAt>
+void decide(engine::Session& session, const LocalAveragingOptions& options,
+            const std::vector<std::vector<AgentId>>& knowledge,
+            std::size_t count, AgentAt agent_at, std::vector<double>& x) {
+  const Instance& instance = session.instance();
+  chunked_parallel_for(
+      count,
+      [&](std::size_t begin, std::size_t end) {
+        auto scratch = session.dist_scratch().acquire();
+        for (std::size_t k = begin; k < end; ++k) {
+          // Per-agent cancellation poll: each iteration is a full
+          // materialize-and-solve pipeline, coarse enough that chunk
+          // boundaries alone would let a deadline overshoot badly.
+          cancel::checkpoint();
+          const AgentId j = agent_at(k);
+          const auto jj = static_cast<std::size_t>(j);
+          x[jj] = averaging_pipeline(instance, j, knowledge[jj], options,
+                                     *scratch);
+        }
+      },
+      session.pool());
+}
+
+}  // namespace
+
 std::vector<double> distributed_local_averaging(
     const Instance& instance, const LocalAveragingOptions& options) {
   engine::Session session(instance);
@@ -151,52 +184,32 @@ std::vector<double> distributed_local_averaging_with(
   if (options.deduplicate) {
     orbits = &session.view_classes(horizon, options.collaboration_oblivious);
   }
-  const std::size_t worker_count =
-      orbits != nullptr ? orbits->num_orbits() : n;
   if (stats != nullptr) {
     *stats = DistAveragingStats{};
-    stats->decisions = worker_count;
+    stats->decisions = orbits != nullptr ? orbits->num_orbits() : n;
     if (orbits != nullptr) {
       stats->dedup_ratio = orbits->dedup_ratio();
     }
   }
-  if (orbits != nullptr && worker_count == n) {
-    // Every orbit is a singleton: the representatives are the agents
-    // themselves in ascending order, so the per-agent loop is bitwise
-    // identical and the copy pass below becomes pure overhead — drop to
-    // the dedup-off path (diagnostics above already recorded the dedup
-    // attempt).
-    orbits = nullptr;
+
+  if (orbits == nullptr) {
+    decide(
+        session, options, knowledge, n,
+        [](std::size_t k) { return static_cast<AgentId>(k); }, x);
+    return x;
   }
-
-  // Chunked so each worker leases one materialization arena and one
-  // view/LP scratch for all its agents; leases come from the session
-  // pool so the buffers stay warm across solves.
-  chunked_parallel_for(
-      worker_count,
-      [&](std::size_t begin, std::size_t end) {
-        auto scratch = session.dist_scratch().acquire();
-        for (std::size_t task = begin; task < end; ++task) {
-          // Per-agent cancellation poll: each iteration is a full
-          // materialize-and-solve pipeline, coarse enough that chunk
-          // boundaries alone would let a deadline overshoot badly.
-          cancel::checkpoint();
-          const std::size_t j =
-              orbits != nullptr
-                  ? static_cast<std::size_t>(orbits->orbit_rep[task])
-                  : task;
-          x[j] = averaging_pipeline(instance, static_cast<AgentId>(j),
-                                    knowledge[j], options, *scratch);
-        }
-      },
-      session.pool());
-
-  if (orbits != nullptr) {
+  const std::vector<AgentId>& reps = orbits->orbit_rep;
+  decide(
+      session, options, knowledge, reps.size(),
+      [&](std::size_t k) { return reps[k]; }, x);
+  // With all-singleton orbits every agent is its own representative and
+  // there is nothing to copy.
+  if (reps.size() < n) {
     parallel_for(
         n,
         [&](std::size_t j) {
           const auto rep = static_cast<std::size_t>(
-              orbits->orbit_rep[static_cast<std::size_t>(orbits->orbit_of[j])]);
+              reps[static_cast<std::size_t>(orbits->orbit_of[j])]);
           if (j != rep) {  // representatives already hold their decision
             x[j] = x[rep];
           }
@@ -242,19 +255,9 @@ std::vector<double> distributed_local_averaging_incremental(
         session.balls(horizon, options.collaboration_oblivious);
     memo.x.resize(n, 0.0);  // added agents are always in the dirty region
     const std::vector<AgentId>& resolve = *dirty;
-    chunked_parallel_for(
-        resolve.size(),
-        [&](std::size_t begin, std::size_t end) {
-          auto scratch = session.dist_scratch().acquire();
-          for (std::size_t idx = begin; idx < end; ++idx) {
-            cancel::checkpoint();
-            const AgentId j = resolve[idx];
-            memo.x[static_cast<std::size_t>(j)] = averaging_pipeline(
-                instance, j, knowledge[static_cast<std::size_t>(j)], options,
-                *scratch);
-          }
-        },
-        session.pool());
+    decide(
+        session, options, knowledge, resolve.size(),
+        [&](std::size_t k) { return resolve[k]; }, memo.x);
     accounting.incremental = true;
     accounting.dirty_agents = resolve.size();
     accounting.resolved_agents = resolve.size();

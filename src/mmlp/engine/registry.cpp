@@ -435,10 +435,6 @@ const SolverRegistry& SolverRegistry::builtin() {
   return registry;
 }
 
-std::span<const std::pair<const char*, const char*>> surfaced_counter_names() {
-  return kSurfacedCounters;
-}
-
 const char* solve_status_name(SolveStatus status) {
   switch (status) {
     case SolveStatus::kOk:
@@ -459,11 +455,6 @@ SolveResult solve(Session& session, const SolveRequest& request,
       "request wants " << request.threads << " threads but the session pool "
                        << "has " << session.thread_count()
                        << " workers (size the session, not the request)");
-  MMLP_CHECK_MSG(request.shards <= 1,
-                 "request wants " << request.shards << " shards but the "
-                                  << "serving session is not sharded (serve "
-                                  << "it through a ShardedSession, e.g. "
-                                  << "mmlp_batch --shards N)");
   MMLP_CHECK_MSG(request.deadline_ms >= 0,
                  "deadline_ms must be >= 0 (0 = unlimited), got "
                      << request.deadline_ms);

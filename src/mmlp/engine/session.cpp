@@ -185,7 +185,7 @@ const ViewClassIndex& Session::view_classes(std::int32_t radius,
       key, Stamped<ViewClassIndex>{
                build_view_class_index(*instance_, cached_balls, radius,
                                       collaboration_oblivious, pool(),
-                                      keep_keys),
+                                      keep_keys, &view_scratch_),
                instance_->revision()});
   cache_build_ms_ += timer.milliseconds();
   return it->second.value;
@@ -314,7 +314,7 @@ Session::ApplyReport Session::apply(const InstanceDelta& delta) {
   // under value-only edits too.
   for (auto& [key, entry] : view_classes_) {
     repair_view_class_index(*instance_, balls_.at(key).value, dirty_for(key),
-                            entry.value, pool());
+                            entry.value, pool(), &view_scratch_);
     ++report.repaired_entries;
     entry.revision = effect.revision;
   }

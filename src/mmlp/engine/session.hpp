@@ -77,11 +77,10 @@ struct SessionOptions {
   /// Ignored when shared_pool is set.
   std::size_t threads = 0;
   /// Non-owning: run this session's parallel loops on an externally
-  /// owned pool instead of creating one. ShardedSession uses this to
-  /// run every shard session (and its own fan-out) on ONE cooperative
-  /// pool sized to the hardware, so S shards never stack S pools of
-  /// workers on top of each other (the oversubscription fix of ROADMAP
-  /// item 3). The pool must outlive the session.
+  /// owned pool instead of creating one, so callers that keep several
+  /// sessions alive at once (or a client that times its own work on
+  /// the same workers) share one pool sized to the hardware rather than
+  /// stacking a pool per session. The pool must outlive the session.
   ThreadPool* shared_pool = nullptr;
 };
 

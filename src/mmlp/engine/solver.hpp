@@ -20,9 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "mmlp/core/baselines.hpp"
@@ -70,12 +68,6 @@ struct SolveRequest {
   /// up private pools); the engine checks and reports a CheckError on
   /// mismatch so a mis-sized deployment fails loudly.
   std::size_t threads = 0;
-  /// Shard count for partitioned solving: 0 = whatever the serving
-  /// session is. A value >= 2 must match a ShardedSession built with
-  /// that many shards (engine::ShardedSession::solve); a flat Session
-  /// rejects it, so a request meant for a sharded deployment fails
-  /// loudly instead of silently solving monolithically.
-  std::int32_t shards = 0;
 
   std::uint64_t seed = 1;        ///< sublinear party sampling
   std::int32_t samples = 64;     ///< sublinear sample count
@@ -213,10 +205,5 @@ SolveResult solve(Session& session, const SolveRequest& request,
 /// As above with the built-in registry.
 SolveResult solve(Session& session, const SolveRequest& request,
                   CancelToken* cancel = nullptr);
-
-/// The (obs counter name, SolveResult::counters key) pairs solve()
-/// surfaces as per-request deltas — exposed so alternative front-ends
-/// (engine::ShardedSession) fill the identical keys.
-std::span<const std::pair<const char*, const char*>> surfaced_counter_names();
 
 }  // namespace mmlp::engine

@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "mmlp/engine/sharded_session.hpp"
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/fault.hpp"
 #include "mmlp/util/obs.hpp"
@@ -341,8 +340,6 @@ void apply_solve_key(SolveRequest& request, const std::string& key,
     request.incremental = as_bool(value, key);
   } else if (key == "threads") {
     request.threads = static_cast<std::size_t>(as_int(value, key));
-  } else if (key == "shards") {
-    request.shards = static_cast<std::int32_t>(as_int(value, key));
   } else if (key == "seed") {
     request.seed = static_cast<std::uint64_t>(as_int(value, key));
   } else if (key == "samples") {
@@ -630,35 +627,6 @@ std::string stats_to_json_line(Session& session, const std::string& id) {
   append_fault_recovery(oss, stats.integrity_fallbacks);
   oss << ", \"queue_depth\": " << pool.queue_depth();
   append_workers(oss, workers);
-  // The registry snapshot is already one JSON object; embed it verbatim.
-  oss << ", \"metrics\": " << obs::Registry::global().to_json_line();
-  oss << '}';
-  return oss.str();
-}
-
-std::string stats_to_json_line(ShardedSession& session,
-                               const std::string& id) {
-  const SessionStats stats = session.stats();
-  std::ostringstream oss;
-  oss << '{';
-  if (!id.empty()) {
-    oss << "\"id\": " << id << ", ";
-  }
-  oss << "\"op\": \"stats\", \"revision\": " << session.instance().revision()
-      << ", \"agents\": " << session.instance().num_agents()
-      << ", \"shards\": " << session.num_shards()
-      << ", \"halo_radius\": " << session.halo_radius()
-      << ", \"halo_agents\": " << session.halo_agents()
-      << ", \"cache_hits\": " << stats.cache_hits
-      << ", \"cache_misses\": " << stats.cache_misses
-      << ", \"cache_build_ms\": ";
-  append_number(oss, stats.cache_build_ms);
-  oss << ", \"scratch_created\": " << stats.scratch_created
-      << ", \"scratch_reused\": " << stats.scratch_reused;
-  append_fault_recovery(oss, stats.integrity_fallbacks);
-  oss << ", \"pool_threads\": " << session.worker_threads()
-      << ", \"queue_depth\": " << session.pool().queue_depth();
-  append_workers(oss, session.pool().worker_stats());
   // The registry snapshot is already one JSON object; embed it verbatim.
   oss << ", \"metrics\": " << obs::Registry::global().to_json_line();
   oss << '}';

@@ -12,13 +12,11 @@
 //                                    none-then-scale
 //   collaboration_oblivious bool
 //   deduplicate             bool     one LP per view orbit (bitwise-equal
-//                                    output; safe/averaging/dist-averaging)
+//                                    output; averaging/dist-averaging;
+//                                    safe accepts and ignores it)
 //   incremental             bool     splice the dirty region of applied
 //                                    updates into the previous result
 //   threads                 int      must match the session pool when set
-//   shards                  int      must match the serving ShardedSession
-//                                    when set (mmlp_batch --shards N); a
-//                                    flat session rejects values >= 2
 //   seed                    int      sublinear sampling seed
 //   samples                 int      sublinear sample count
 //   confidence              number   sublinear Hoeffding level
@@ -123,12 +121,6 @@ std::string apply_report_to_json_line(const Session::ApplyReport& report,
 /// session cache/scratch stats, per-worker pool stats, and the global
 /// obs::Registry snapshot.
 std::string stats_to_json_line(Session& session, const std::string& id);
-
-class ShardedSession;  // engine/sharded_session.hpp
-
-/// The sharded variant: aggregated cache/scratch stats over the shard
-/// sessions plus the shard topology (shards, halo_radius, halo_agents).
-std::string stats_to_json_line(ShardedSession& session, const std::string& id);
 
 /// Serialise one response line (no trailing newline). `emit_x` includes
 /// the full solution vector. Every line carries "status"; non-ok lines

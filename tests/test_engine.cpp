@@ -303,6 +303,22 @@ TEST(Wire, ParsesEveryDocumentedKey) {
   EXPECT_EQ(wire.id, "\"req-1\"");  // echoed verbatim, quotes included
 }
 
+TEST(Wire, ShardsIsAnUnknownRequestKey) {
+  // There is no partitioned serving path: a "shards" key is rejected
+  // like any other typo, as a semantic error (wire code "validate"),
+  // never as a grammar error (code "parse").
+  try {
+    (void)engine::parse_command_line(R"({"algorithm": "safe", "shards": 4})");
+    FAIL() << "a shards key was accepted";
+  } catch (const engine::WireParseError& error) {
+    FAIL() << "unknown key misclassified as a parse error: " << error.what();
+  } catch (const CheckError& error) {
+    EXPECT_NE(std::string(error.what()).find("unknown request key 'shards'"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(Wire, StatsOpRoundTrips) {
   const engine::WireCommand command =
       engine::parse_command_line(R"({"op": "stats", "id": 42})");

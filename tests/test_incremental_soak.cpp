@@ -15,7 +15,6 @@
 
 #include "mmlp/core/instance.hpp"
 #include "mmlp/engine/session.hpp"
-#include "mmlp/engine/sharded_session.hpp"
 #include "mmlp/engine/solver.hpp"
 #include "mmlp/gen/grid.hpp"
 #include "mmlp/util/rng.hpp"
@@ -146,43 +145,6 @@ TEST(IncrementalSoak, TwoHundredDeltasNeverDrift) {
   EXPECT_EQ(expected.omega, latest.omega);
   EXPECT_EQ(expected.feasible, latest.feasible);
   ASSERT_EQ(expected.party_benefit, latest.party_benefit);
-}
-
-TEST(IncrementalSoak, ShardedSessionSurvivesTheSameChain) {
-  // A shorter chain through the sharded front end: value edits only
-  // (the routed fast path), checked against a monolithic twin every
-  // step — the routing itself is the thing under soak here.
-  Instance flat_instance = make_grid_instance(
-      {.dims = {10, 10}, .torus = true, .randomize = true, .seed = 21});
-  Instance sharded_instance = flat_instance;
-  Session flat(flat_instance);
-  engine::ShardedSession sharded(
-      sharded_instance, engine::ShardedOptions{.shards = 4, .halo_radius = 3});
-
-  SolveRequest request;
-  request.algorithm = "averaging";
-  request.R = 1;
-  request.incremental = true;
-
-  Rng rng(77);
-  for (std::size_t step = 0; step < 40; ++step) {
-    const AgentId v = pick_agent(rng, flat_instance);
-    const CoefSpan row = flat_instance.agent_resources(v);
-    const Coef& entry = row[rng.next_below(row.size())];
-    InstanceDelta delta;
-    delta.set_usage(entry.id, v, rng.uniform(0.1, 2.0));
-    (void)flat.apply(delta);
-    (void)sharded.apply(delta);
-
-    const SolveResult expected = engine::solve(flat, request);
-    const SolveResult actual = sharded.solve(request);
-    ASSERT_EQ(expected.x.size(), actual.x.size()) << "step " << step;
-    for (std::size_t a = 0; a < expected.x.size(); ++a) {
-      ASSERT_EQ(expected.x[a], actual.x[a])
-          << "step " << step << " agent " << a;
-    }
-    ASSERT_EQ(expected.omega, actual.omega) << "step " << step;
-  }
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "mmlp/engine/session.hpp"
-#include "mmlp/engine/sharded_session.hpp"
 #include "mmlp/engine/solver.hpp"
 #include "mmlp/gen/grid.hpp"
 #include "mmlp/gen/random_instance.hpp"
@@ -121,31 +120,6 @@ TEST(ThreadInvariance, DedupAndObliviousVariantsToo) {
                                "/oblivious=" + std::to_string(oblivious) +
                                "/threads=" + std::to_string(threads));
       }
-    }
-  }
-}
-
-TEST(ThreadInvariance, ShardedSessionSharedPoolSizesToo) {
-  // The sharded path runs every shard session plus the fan-out on ONE
-  // shared cooperative pool (nested bulk regions), so its thread budget
-  // is a second scheduler shape to pin: T=1 vs T=8 on the same
-  // partition must stitch bitwise-identical answers.
-  const Instance instance = make_grid_instance(
-      {.dims = {8, 8}, .torus = true, .randomize = true, .seed = 3});
-  for (const char* algorithm : {"safe", "averaging"}) {
-    const SolveRequest request = request_for(algorithm);
-    engine::ShardedSession reference(
-        instance,
-        engine::ShardedOptions{.shards = 4, .halo_radius = 3, .threads = 1});
-    const SolveResult base = reference.solve(request);
-    for (const std::size_t threads : {2u, 8u}) {
-      engine::ShardedSession sharded(
-          instance, engine::ShardedOptions{.shards = 4,
-                                           .halo_radius = 3,
-                                           .threads = threads});
-      expect_same_answer(base, sharded.solve(request),
-                         std::string("sharded/") + algorithm +
-                             "/threads=" + std::to_string(threads));
     }
   }
 }

@@ -238,6 +238,8 @@ TEST(DedupAveraging, SingletonClassesFallBackToPerAgentSolves) {
 }
 
 TEST(DedupSafe, BitwiseEqualToPerAgentRule) {
+  // Safe accepts the dedup knob and ignores it; a request carrying it
+  // must still answer the per-agent bits.
   for (const auto& instance :
        {make_grid_instance({.dims = {10, 10}, .torus = true}),
         make_random_instance({.num_agents = 80, .seed = 5})}) {

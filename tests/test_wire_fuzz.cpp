@@ -35,7 +35,7 @@ const std::vector<std::string>& seed_lines() {
       R"({"op": "update", "add_agents": 2, "remove_agents": [4, 5]})",
       R"({"op": "stats", "id": "q"})",
       R"({"algorithm": "averaging", "damping": "beta-per-agent"})",
-      R"({"algorithm": "safe", "shards": 4, "threads": 2})",
+      R"({"algorithm": "safe", "threads": 2})",
       R"({"algorithm": "averaging", "deadline_ms": 250})",
       R"({"algorithm": "selfstab-safe", "fault_plan": "s7;0:drop:3:5;1:crash:2"})",
   };

@@ -24,12 +24,6 @@
 //   {"op": "update", "set_usage": [{"i": 5, "v": 9, "a": 0.25}], "id": 2}
 //   {"algorithm": "averaging", "incremental": true, "id": 3}
 //
-// --shards N (N >= 2) partitions the instance into N halo-overlapped
-// shards and serves every request through an engine::ShardedSession —
-// results (including --emit-x vectors) are bitwise-equal to the flat
-// batch; --halo-radius and --shard-strategy tune the cut. Local
-// per-agent solvers only (safe, averaging, distributed-*).
-//
 // {"op": "stats"} lines answer with the process observability state
 // (session caches, per-worker pool activity, obs::Registry metrics);
 // --trace-out FILE records every span of the batch as Chrome Trace
@@ -52,12 +46,10 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 
 #include "mmlp/engine/session.hpp"
-#include "mmlp/engine/sharded_session.hpp"
 #include "mmlp/engine/solver.hpp"
 #include "mmlp/engine/wire.hpp"
 #include "mmlp/util/cancel.hpp"
@@ -104,16 +96,6 @@ int main(int argc, char** argv) {
   args.add_flag("out", "JSONL result file; '-' = stdout", "-");
   args.add_flag("threads",
                 "worker threads for the session pool (0 = hardware)", "0");
-  args.add_flag("shards",
-                "partition the instance into N shards with halo overlap and "
-                "serve solves through a ShardedSession (0/1 = flat session); "
-                "output is bitwise-equal to the unsharded batch",
-                "0");
-  args.add_flag("halo-radius",
-                "halo hops per shard; averaging at radius R needs >= 2R+1",
-                "3");
-  args.add_flag("shard-strategy",
-                "agent partition strategy: contiguous|bfs", "contiguous");
   args.add_switch("emit-x", "include the full solution vector per result");
   args.add_switch("strict", "abort on the first malformed/failing request");
   args.add_switch("fail-fast", "alias of --strict");
@@ -146,38 +128,12 @@ int main(int argc, char** argv) {
 
   Instance instance = load_or_generate(args);  // mutable: updates edit it
   const auto threads = static_cast<std::size_t>(args.get_int("threads"));
-  const auto shard_count =
-      static_cast<std::int32_t>(args.get_int("shards"));
-  const bool sharded = shard_count >= 2;
-  std::unique_ptr<engine::Session> session;
-  std::unique_ptr<engine::ShardedSession> sharded_session;
-  if (sharded) {
-    sharded_session = std::make_unique<engine::ShardedSession>(
-        instance,
-        engine::ShardedOptions{
-            .shards = shard_count,
-            .halo_radius =
-                static_cast<std::int32_t>(args.get_int("halo-radius")),
-            .strategy = shard::partition_strategy_from_string(
-                args.get_string("shard-strategy")),
-            .threads = threads});
-    std::cerr << "mmlp_batch: instance with " << instance.num_agents()
-              << " agents, " << instance.num_resources() << " resources, "
-              << instance.num_parties() << " parties; " << shard_count
-              << " shard(s), halo radius "
-              << sharded_session->halo_radius() << ", "
-              << sharded_session->halo_agents() << " halo agent(s), shared "
-              << "pool of " << sharded_session->worker_threads()
-              << " thread(s)\n";
-  } else {
-    session = std::make_unique<engine::Session>(instance,
-                                                engine::SessionOptions{
-                                                    .threads = threads});
-    std::cerr << "mmlp_batch: instance with " << instance.num_agents()
-              << " agents, " << instance.num_resources() << " resources, "
-              << instance.num_parties() << " parties; session pool "
-              << session->thread_count() << " thread(s)\n";
-  }
+  engine::Session session(instance,
+                          engine::SessionOptions{.threads = threads});
+  std::cerr << "mmlp_batch: instance with " << instance.num_agents()
+            << " agents, " << instance.num_resources() << " resources, "
+            << instance.num_parties() << " parties; session pool "
+            << session.thread_count() << " thread(s)\n";
 
   const std::string requests_path = args.get_string("requests");
   std::ifstream requests_file;
@@ -243,14 +199,10 @@ int main(int argc, char** argv) {
       engine::WireCommand command = engine::parse_command_line(line);
       if (command.kind == engine::WireCommand::Kind::kUpdate) {
         const engine::Session::ApplyReport report =
-            sharded ? sharded_session->apply(command.delta)
-                    : session->apply(command.delta);
+            session.apply(command.delta);
         out << engine::apply_report_to_json_line(report, command.id) << '\n';
       } else if (command.kind == engine::WireCommand::Kind::kStats) {
-        out << (sharded
-                    ? engine::stats_to_json_line(*sharded_session, command.id)
-                    : engine::stats_to_json_line(*session, command.id))
-            << '\n';
+        out << engine::stats_to_json_line(session, command.id) << '\n';
       } else {
         if (command.request.deadline_ms == 0) {
           command.request.deadline_ms = default_deadline_ms;
@@ -260,8 +212,7 @@ int main(int argc, char** argv) {
           command.request.fault_plan = default_fault_plan;
         }
         const engine::SolveResult result =
-            sharded ? sharded_session->solve(command.request)
-                    : engine::solve(*session, command.request);
+            engine::solve(session, command.request);
         if (result.status != engine::SolveStatus::kOk) {
           // Timed-out/cancelled solves answer an error line, not a
           // result line: there is no solution to report, and stream
@@ -316,7 +267,7 @@ int main(int argc, char** argv) {
   if (!metrics_out.empty()) {
     // Refresh the session gauges so the snapshot carries final cache
     // entry counts, not whatever the last stats query left behind.
-    (void)(sharded ? sharded_session->stats() : session->stats());
+    (void)session.stats();
     std::ofstream metrics_file(metrics_out);
     MMLP_CHECK_MSG(static_cast<bool>(metrics_file),
                    "cannot write " << metrics_out);
@@ -324,8 +275,7 @@ int main(int argc, char** argv) {
     std::cerr << "mmlp_batch: wrote metrics to " << metrics_out << '\n';
   }
 
-  const engine::SessionStats stats =
-      sharded ? sharded_session->stats() : session->stats();
+  const engine::SessionStats stats = session.stats();
   std::cerr << "mmlp_batch: served " << served << " request(s), " << failed
             << " failed";
   if (!failed_by_code.empty()) {
