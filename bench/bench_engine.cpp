@@ -1,60 +1,58 @@
 // Engine session economics: what does a request pay on a cold session
-// vs. request #2..#N on a hot one — and what does view deduplication
-// shave off the hot path?  For every scenario/size the harness times
-// the same registry request:
+// vs. request #2..#N on a hot one — and what do view deduplication and
+// the update pipeline shave off? For every scenario/size the harness
+// times the same registry request:
 //
 //   <scenario>_cold       : a fresh engine::Session per solve — every
 //                           repeat rebuilds balls, growth sets and
-//                           worker scratch (the pre-engine cost);
-//   <scenario>_warm       : one persistent Session primed once —
-//                           repeats hit the caches, so only the
-//                           algorithm proper remains;
-//   <scenario>_dedup_warm : the same warm request with
-//                           deduplicate=true — one view LP per
-//                           exact view orbit instead of one per agent
-//                           (averaging cases only; output bitwise equal
-//                           to the _warm case);
-//   <scenario>_dedup_warm_nosym : the same dedup-on measurement on the
-//                           no-symmetry stress scenario (random), where
-//                           every view orbit is a singleton — the case
-//                           exists to prove the dedup path bails out to
-//                           the plain per-agent loop and stays at
-//                           parity with dedup-off (speedup_vs_off ≈ 1)
-//                           instead of paying for staging + scatter;
+//                           worker scratch and solves every agent (what
+//                           a one-shot caller pays);
+//   <scenario>_warm       : one persistent Session primed once. Safe
+//                           and averaging are memo-first, so a repeat
+//                           with no edits in between is a memo hit: it
+//                           re-solves nothing and pays the memo copy of
+//                           x plus the spliced evaluation;
+//   <scenario>_dedup_cold : the cold request with deduplicate=true — a
+//                           fresh session per solve, so the view-orbit
+//                           build is inside the wall, then one view LP
+//                           per exact view orbit instead of one per
+//                           agent (averaging cases only; output bitwise
+//                           equal to the _cold case). On the random
+//                           scenario every orbit is a singleton, so the
+//                           case records what the orbit build costs
+//                           when it buys nothing;
 //   <scenario>_latency    : ~16 individually timed warm repeats of the
-//                           averaging request plus a k=16 update +
-//                           incremental re-solve between samples, fed
-//                           into an obs::Histogram — surfaced as
-//                           latency_p50_ms / latency_p90_ms /
-//                           latency_p99_ms counters, alongside the
+//                           averaging request (memo hits) plus a k=16
+//                           update + re-solve (a splice) between
+//                           samples, fed into an obs::Histogram —
+//                           surfaced as latency_p50_ms / latency_p90_ms
+//                           / latency_p99_ms counters, alongside the
 //                           per-request obs counter deltas
 //                           (simplex_solves, simplex_pivots,
 //                           scratch_leases);
 //   <scenario>_update_resolve_k<k> : the streaming-update workload — k
 //                           random single-coefficient edits applied
 //                           through Session::apply followed by one
-//                           incremental re-solve, on a session whose
-//                           memo is primed. dirty_agents /
-//                           resolved_agents count the spliced region;
-//                           speedup_vs_cold is the warm full-solve wall
-//                           over the update+re-solve wall (the
-//                           acceptance bar: >= 10x for k=1 on the 1e5
-//                           grid).
+//                           re-solve, on a session whose memo is
+//                           primed. dirty_agents / resolved_agents
+//                           count the spliced region; speedup_vs_cold
+//                           is the cold full-solve wall over the
+//                           update+re-solve wall (the acceptance bar:
+//                           >= 10x for k=1 on the 1e5 grid).
 //
 // The counters carry the proof that the machinery actually engaged:
 // cache_build_ms / cache_misses from the request's timing breakdown
-// (≈0 on warm cases), the warm/cold wall ratio, and on dedup cases
-// lp_solves / dedup_ratio plus speedup_vs_off (warm
-// dedup-off ms over warm dedup-on ms). The acceptance criterion of the
-// dedup PR reads this file at --scale full (1e5 agents): the grid
-// scenario must report dedup_ratio >= 0.9 and speedup_vs_off >= 3,
-// with the random scenario not regressing.
+// (≈0 on warm cases), the cold/warm wall ratio, and on dedup cases
+// lp_solves / dedup_ratio plus speedup_vs_off (cold dedup-off ms over
+// cold dedup-on ms). On the grid the orbits collapse to O(1), so the
+// case shows whether the orbit build pays for the view LPs it saves;
+// on random it cannot, and the case prices the build.
 //
-// The thread sweep (grid_torus_<variant>_T<k>) re-measures the warm
-// averaging/safe/dedup/update workloads at T in {1, 2, 4, 8} dedicated
-// workers and reports speedup_vs_t1 / parallel_efficiency plus the
-// scheduler's own busy/chunk/steal accounting — the CI-gated multi-core
-// scaling axis (ROADMAP item 3). See run_thread_sweep.
+// The thread sweep (grid_torus_<variant>_T<k>) re-measures the cold
+// averaging/safe/dedup requests and the warm update workload at T in
+// {1, 2, 4, 8} workers and reports speedup_vs_t1 / parallel_efficiency
+// plus the scheduler's own busy/chunk/steal accounting — the CI-gated
+// multi-core scaling axis (ROADMAP item 3). See run_thread_sweep.
 #include <algorithm>
 
 #include "mmlp/dist/self_stabilizing_solver.hpp"
@@ -74,8 +72,8 @@ using mmlp::engine::Session;
 using mmlp::engine::SolveRequest;
 using mmlp::engine::SolveResult;
 
-/// Runs the cold/warm pair; returns the warm wall time so the dedup
-/// case can report its speedup against it.
+/// Runs the cold/warm pair; returns the cold wall time, which the dedup
+/// and update cases report their speedups against.
 double run_pair(mmlp::bench::Report& report, const std::string& scenario,
                 const mmlp::Instance& instance, const SolveRequest& request,
                 int reps) {
@@ -91,7 +89,7 @@ double run_pair(mmlp::bench::Report& report, const std::string& scenario,
   const double cold_ms = cold.wall_ms;
 
   Session session(instance);
-  (void)mmlp::engine::solve(session, request);  // prime the caches
+  (void)mmlp::engine::solve(session, request);  // prime the caches and memo
   auto& warm = report.run_case(
       scenario + "_warm", instance.num_agents(), reps,
       [&] { last = mmlp::engine::solve(session, request); });
@@ -104,13 +102,13 @@ double run_pair(mmlp::bench::Report& report, const std::string& scenario,
       it != last.diagnostics.end()) {
     warm.counters["lp_solves"] = it->second;
   }
-  return warm.wall_ms;
+  return cold_ms;
 }
 
 /// The latency-distribution case: ~16 individually timed warm repeats
-/// of the request, interleaved with a k=16 random-edit update +
-/// incremental re-solve (the streaming workload of the acceptance
-/// criterion), every per-request total_ms observed into an
+/// of the request (memo hits), interleaved with a k=16 random-edit
+/// update + re-solve (a splice: the streaming workload of the
+/// acceptance criterion), every per-request total_ms observed into an
 /// obs::Histogram. Reported as percentile counters rather than the
 /// harness's min-wall estimator — the histogram is exactly what the
 /// metrics registry exports, so the bench doubles as a check that the
@@ -120,10 +118,7 @@ void run_latency(mmlp::bench::Report& report, const std::string& scenario,
   using namespace mmlp;
   Instance working = instance;  // mutated by the interleaved updates
   Session session(working);
-  (void)engine::solve(session, request);  // prime the caches
-  SolveRequest incremental = request;
-  incremental.incremental = true;
-  (void)engine::solve(session, incremental);  // prime the memo
+  (void)engine::solve(session, request);  // prime the caches and memo
   Rng rng(40013u);
   obs::Histogram hist;
   SolveResult last;
@@ -143,7 +138,7 @@ void run_latency(mmlp::bench::Report& report, const std::string& scenario,
             delta.set_usage(i, entry.id, entry.value * rng.uniform(0.5, 1.5));
             (void)session.apply(delta);
           }
-          last = engine::solve(session, incremental);
+          last = engine::solve(session, request);
           hist.observe(last.total_ms);
         }
       });
@@ -151,7 +146,7 @@ void run_latency(mmlp::bench::Report& report, const std::string& scenario,
   bench_case.counters["latency_p50_ms"] = hist.percentile(0.50);
   bench_case.counters["latency_p90_ms"] = hist.percentile(0.90);
   bench_case.counters["latency_p99_ms"] = hist.percentile(0.99);
-  // Per-request obs counter deltas of the last (incremental) solve.
+  // Per-request obs counter deltas of the last (spliced) solve.
   for (const char* key :
        {"simplex_solves", "simplex_pivots", "scratch_leases",
         "bfs_ball_expansions"}) {
@@ -161,40 +156,39 @@ void run_latency(mmlp::bench::Report& report, const std::string& scenario,
   }
 }
 
-/// Times the deduplicated request on a session whose caches — including
-/// the view-orbit partition — are already hot, so the case isolates the
-/// per-solve dedup economics (orbit build cost shows up once, in the
-/// priming solve, exactly like the other session caches).
+/// Times the deduplicated request on a fresh session per solve, so the
+/// view-orbit build is inside the wall as it is for a one-shot caller;
+/// speedup_vs_off is the cold dedup-off wall over this one.
 void run_dedup(mmlp::bench::Report& report, const std::string& scenario,
                const mmlp::Instance& instance, SolveRequest request, int reps,
-               double warm_off_ms, const char* case_suffix = "_dedup_warm") {
+               double cold_off_ms) {
   request.deduplicate = true;
   SolveResult last;
-  Session session(instance);
-  (void)mmlp::engine::solve(session, request);  // prime caches + orbits
   auto& dedup = report.run_case(
-      scenario + case_suffix, instance.num_agents(), reps,
-      [&] { last = mmlp::engine::solve(session, request); });
+      scenario + "_dedup_cold", instance.num_agents(), reps, [&] {
+        Session session(instance);
+        last = mmlp::engine::solve(session, request);
+      });
   dedup.counters["cache_build_ms"] = last.cache_build_ms;
   dedup.counters["cache_misses"] = static_cast<double>(last.cache_misses);
   dedup.counters["lp_solves"] = last.diagnostics.at("lp_solves");
   dedup.counters["dedup_ratio"] = last.diagnostics.at("dedup_ratio");
-  dedup.counters["warm_off_ms"] = warm_off_ms;
+  dedup.counters["cold_off_ms"] = cold_off_ms;
   dedup.counters["speedup_vs_off"] =
-      dedup.wall_ms > 0.0 ? warm_off_ms / dedup.wall_ms : 0.0;
+      dedup.wall_ms > 0.0 ? cold_off_ms / dedup.wall_ms : 0.0;
 }
 
 /// The streaming-update workload: k random single-coefficient edits
-/// (each its own Session::apply) followed by one incremental re-solve,
-/// timed together — the end-to-end latency of absorbing k edits into a
-/// live solution. The session is mutable-bound to a private copy of the
+/// (each its own Session::apply) followed by one re-solve, timed
+/// together — the end-to-end latency of absorbing k edits into a live
+/// solution. The session is mutable-bound to a private copy of the
 /// instance (edits must not leak into the other cases) and primed with
-/// one full incremental solve so the memo exists.
+/// one full solve so the memo exists.
 void run_update_resolve(mmlp::bench::Report& report, const std::string& scenario,
-                        const mmlp::Instance& instance, SolveRequest request,
-                        int reps, double warm_full_ms) {
+                        const mmlp::Instance& instance,
+                        const SolveRequest& request, int reps,
+                        double cold_full_ms) {
   using namespace mmlp;
-  request.incremental = true;
   for (const int k : {1, 16, 256}) {
     Instance working = instance;
     Session session(working);
@@ -222,25 +216,29 @@ void run_update_resolve(mmlp::bench::Report& report, const std::string& scenario
     bench_case.counters["dirty_agents"] = last.diagnostics.at("dirty_agents");
     bench_case.counters["resolved_agents"] =
         last.diagnostics.at("resolved_agents");
-    bench_case.counters["warm_full_ms"] = warm_full_ms;
+    bench_case.counters["cold_full_ms"] = cold_full_ms;
     bench_case.counters["speedup_vs_cold"] =
-        bench_case.wall_ms > 0.0 ? warm_full_ms / bench_case.wall_ms : 0.0;
+        bench_case.wall_ms > 0.0 ? cold_full_ms / bench_case.wall_ms : 0.0;
   }
 }
 
-/// The multi-core scaling sweep (ROADMAP item 3): the same warm request
-/// measured at T ∈ {1, 2, 4, 8} dedicated session workers, on the
-/// grid_torus scenario (smoke 512 / small 1e4 / full 1e5 agents). Each
-/// case carries the scaling verdict directly: speedup_vs_t1 (the T=1
-/// wall of the same variant over this wall), parallel_efficiency
-/// (min(1, speedup/T) — 1.0 is linear scaling), and the scheduler's own
-/// accounting deltas over the timed region (worker_busy_fraction =
-/// busy_ns summed over workers / T·wall, plus chunks and steals). The
-/// efficiency counters are gated by compare_bench.py, so a scheduler
-/// change that quietly serializes the hot path fails the bench CI job.
-/// Note the caller participates in bulk regions, so at T=1 the pool's
-/// single worker often stays idle (busy_fraction ≈ 0 is expected
-/// there); efficiency, not busy_fraction, is the gated signal.
+/// The multi-core scaling sweep (ROADMAP item 3): the same request
+/// measured at T ∈ {1, 2, 4, 8} workers, on the grid_torus scenario
+/// (smoke 512 / small 1e4 / full 1e5 agents). The cold variants open a
+/// fresh Session per rep on one shared pool of T workers — a warm
+/// repeat would be a memo hit with nothing left to parallelise — and
+/// the update variant runs 16 edits + a splice per rep on one session
+/// over the same pool. Each case carries the scaling verdict directly:
+/// speedup_vs_t1 (the T=1 wall of the same variant over this wall),
+/// parallel_efficiency (min(1, speedup/T) — 1.0 is linear scaling), and
+/// the scheduler's own accounting deltas over the timed region
+/// (worker_busy_fraction = busy_ns summed over workers / T·wall, plus
+/// chunks and steals). The efficiency counters are gated by
+/// compare_bench.py, so a scheduler change that quietly serializes the
+/// hot path fails the bench CI job. Note the caller participates in
+/// bulk regions, so at T=1 the pool's single worker often stays idle
+/// (busy_fraction ≈ 0 is expected there); efficiency, not
+/// busy_fraction, is the gated signal.
 void run_thread_sweep(mmlp::bench::Report& report, const std::string& scale,
                       int reps) {
   using namespace mmlp;
@@ -252,52 +250,52 @@ void run_thread_sweep(mmlp::bench::Report& report, const std::string& scale,
   struct Variant {
     std::string stem;
     SolveRequest request;
-    bool update_workload;  ///< 16 edits + incremental re-solve per rep
+    bool update_workload;  ///< 16 edits + a splice per rep
   };
   const std::vector<Variant> variants = {
-      {"grid_torus_averaging_warm",
+      {"grid_torus_averaging_cold",
        {.algorithm = "averaging", .R = 1},
        false},
-      {"grid_torus_safe_warm", {.algorithm = "safe"}, false},
-      {"grid_torus_averaging_dedup_warm",
+      {"grid_torus_safe_cold", {.algorithm = "safe"}, false},
+      {"grid_torus_averaging_dedup_cold",
        {.algorithm = "averaging", .R = 1, .deduplicate = true},
        false},
       {"grid_torus_update_resolve_k16",
-       {.algorithm = "averaging", .R = 1, .incremental = true},
+       {.algorithm = "averaging", .R = 1},
        true},
   };
 
   for (const Variant& variant : variants) {
     double t1_wall_ms = 0.0;
     for (const std::size_t threads : {1, 2, 4, 8}) {
+      ThreadPool pool(threads);
+      const engine::SessionOptions options{.shared_pool = &pool};
       Instance working = instance;  // update workloads mutate their copy
-      Session session(working,
-                      engine::SessionOptions{.threads = threads});
-      (void)engine::solve(session, variant.request);  // prime the caches
-      if (variant.update_workload) {
-        (void)engine::solve(session, variant.request);  // prime the memo
-      }
+      Session session(working, options);
+      (void)engine::solve(session, variant.request);  // prime caches + memo
       Rng rng(77003u + threads);
       SolveResult last;
-      ThreadPool& pool = *session.pool();
       const std::vector<ThreadPool::WorkerStats> before =
           pool.worker_stats();
       WallTimer sweep_timer;
       auto& bench_case = report.run_case(
           variant.stem + "_T" + std::to_string(threads), agents, reps, [&] {
-            if (variant.update_workload) {
-              for (int edit = 0; edit < 16; ++edit) {
-                const auto i = static_cast<ResourceId>(
-                    rng.next_below(static_cast<std::uint64_t>(
-                        working.num_resources())));
-                const CoefSpan support = working.resource_support(i);
-                const Coef& entry = support[static_cast<std::size_t>(
-                    rng.next_below(support.size()))];
-                InstanceDelta delta;
-                delta.set_usage(i, entry.id,
-                                entry.value * rng.uniform(0.5, 1.5));
-                (void)session.apply(delta);
-              }
+            if (!variant.update_workload) {
+              Session cold(instance, options);
+              last = engine::solve(cold, variant.request);
+              return;
+            }
+            for (int edit = 0; edit < 16; ++edit) {
+              const auto i = static_cast<ResourceId>(
+                  rng.next_below(static_cast<std::uint64_t>(
+                      working.num_resources())));
+              const CoefSpan support = working.resource_support(i);
+              const Coef& entry = support[static_cast<std::size_t>(
+                  rng.next_below(support.size()))];
+              InstanceDelta delta;
+              delta.set_usage(i, entry.id,
+                              entry.value * rng.uniform(0.5, 1.5));
+              (void)session.apply(delta);
             }
             last = engine::solve(session, variant.request);
           });
@@ -351,7 +349,7 @@ void run_thread_sweep(mmlp::bench::Report& report, const std::string& scale,
 ///       hook), apply a delta whose surgical repair cannot reach it,
 ///       and time the spot-check detection plus the forced full
 ///       re-solve. fallback_full_solves counts the wholesale cache
-///       drops the checksum divergence triggered.
+///       drops the spot-check divergence triggered.
 void run_recovery(mmlp::bench::Report& report, const std::string& scale,
                   int reps) {
   using namespace mmlp;
@@ -429,29 +427,27 @@ int main(int argc, char** argv) {
                 bench_scenarios::make_scenario(scenario, n);
             // The averaging request is where the session caches carry
             // real weight (balls + growth sets + per-worker LP scratch).
-            const double warm_averaging_ms =
+            const double cold_averaging_ms =
                 run_pair(report, scenario + "_averaging", instance,
                          {.algorithm = "averaging", .R = 1}, reps);
-            // Dedup economics on the same request: the grid scenario
-            // collapses to O(1) view orbits; the random scenario is
-            // the no-symmetry stress case (ratio ~0) whose case name
-            // records that it proves singleton-bailout parity.
+            // Dedup economics on the same cold request: the grid
+            // scenario collapses to O(1) view orbits; the random
+            // scenario has no view symmetry, so its case prices the
+            // orbit build that buys nothing.
             run_dedup(report, scenario + "_averaging", instance,
                       {.algorithm = "averaging", .R = 1}, reps,
-                      warm_averaging_ms,
-                      scenario == "random" ? "_dedup_warm_nosym"
-                                           : "_dedup_warm");
+                      cold_averaging_ms);
             // The per-request latency distribution of the streaming
             // solve/update mix, as obs::Histogram percentiles.
             run_latency(report, scenario + "_averaging", instance,
                         {.algorithm = "averaging", .R = 1});
-            // The update workload: how much of the warm solve does
+            // The update workload: how much of the cold solve does
             // locality let a k-edit re-solve skip?
             run_update_resolve(report, scenario + "_averaging", instance,
                                {.algorithm = "averaging", .R = 1}, reps,
-                               warm_averaging_ms);
-            // The safe request derives no cacheable state: warm ≈ cold
-            // by design, which keeps the comparison honest.
+                               cold_averaging_ms);
+            // The safe request derives no cacheable state beyond its
+            // memo: warm is a memo hit, cold the eq. (2) scan.
             run_pair(report, scenario + "_safe", instance,
                      {.algorithm = "safe"}, reps);
           }
@@ -460,7 +456,7 @@ int main(int argc, char** argv) {
         // CI-gated efficiency counters.
         run_thread_sweep(report, scale, reps);
         // Fault-recovery economics: stabilization after a fault plan
-        // and the cost of a checksum-divergence full rebuild.
+        // and the cost of a spot-check-divergence full rebuild.
         run_recovery(report, scale, reps);
       });
 }

@@ -1,14 +1,19 @@
-// Accounting shared by the incremental re-solve paths (the update
-// pipeline of engine::Session). An incremental solve either splices a
-// dirty region into the previous result (incremental = true) or — when
-// no usable memo exists, ids were remapped, or the options rule the
-// splice out — falls back to the full algorithm (incremental = false,
+// Accounting and agent subsets of memo-first solving (the update
+// pipeline of engine::Session). A session-backed solve of safe,
+// averaging or distributed averaging either splices the dirty region of
+// the edits since its memo into the previous result (incremental =
+// true; a repeat with no edits in between splices nothing) or — when no
+// usable memo exists, ids were remapped, or the options couple every
+// agent to every edit — recomputes every agent (incremental = false,
 // counters cover the whole instance). Either way the output is bitwise
-// identical to a cold full solve of the mutated instance; the stats
+// identical to a cold full solve of the current instance; the stats
 // only say how much work that took.
 #pragma once
 
 #include <cstddef>
+#include <vector>
+
+#include "mmlp/core/instance.hpp"
 
 namespace mmlp {
 
@@ -21,6 +26,18 @@ struct IncrementalStats {
   /// this is the radius-2R region around the edits, a superset of
   /// dirty_agents).
   std::size_t resolved_agents = 0;
+};
+
+/// The agents a per-agent kernel runs over: the listed ones, or every
+/// agent 0..n−1 when `list` is null.
+struct AgentList {
+  const std::vector<AgentId>* list = nullptr;
+  std::size_t n = 0;
+
+  std::size_t size() const { return list != nullptr ? list->size() : n; }
+  AgentId operator[](std::size_t k) const {
+    return list != nullptr ? (*list)[k] : static_cast<AgentId>(k);
+  }
 };
 
 }  // namespace mmlp

@@ -76,40 +76,42 @@ struct LocalAveragingResult : AveragingScalars {
 /// Theorem 3 guarantee (S_k ⊇ V_k needs party hyperedges); in
 /// collaboration-oblivious mode the solution is still feasible but the
 /// benefit bound may not hold (m_k can be 0, in which case ratio_bound is
-/// reported as +inf).
+/// reported as +inf). The stateless reference: it runs against a
+/// session that lives for one call.
 LocalAveragingResult local_averaging(const Instance& instance,
                                      const LocalAveragingOptions& options = {});
 
-/// Warm-session variant: balls, growth sets and the per-worker view/LP
-/// scratch come from the session's caches, so repeat solves on the same
-/// instance skip the B_H(v, R) and Figure 2 recomputation entirely.
-/// Output is bitwise identical to local_averaging() — the free function
-/// is a thin wrapper running this against a throwaway session.
-LocalAveragingResult local_averaging_with(engine::Session& session,
-                                          const LocalAveragingOptions& options = {});
+/// Memo-first solve on a session, writing x̃ into `x` and returning the
+/// scalars; nothing else n-sized is copied. Balls, growth sets, view
+/// orbits and worker scratch come from the session's caches, and the
+/// answer from its memo of `options` (deduplicate excluded: the orbit
+/// copy is bitwise equal to dedup-off). Locality does the work: an edit
+/// with touched set T changes view LPs only inside B(T, R), and x̃_j
+/// only inside B(T, 2R) (x̃_j reads x^u for u ∈ V^j, and β_j moves only
+/// within B(T, R+1)); so the memo, which retains every agent's view
+/// solution, is re-solved on B(T, R) and re-gathered on B(T, 2R), and a
+/// repeat with no edits in between re-solves nothing. Every agent is
+/// recomputed on the first solve, after id remaps, and — for the damping
+/// rules whose outputs are not per-agent local, kBetaGlobal and
+/// kNoneThenScale — after any edit. Output is bitwise identical to
+/// local_averaging on the current instance. lp_solves reports the view
+/// LPs solved by this call; dedup_ratio is set only when every agent
+/// was recomputed. `stats` (optional) receives the accounting.
+AveragingScalars local_averaging_into(engine::Session& session,
+                                      const LocalAveragingOptions& options,
+                                      std::vector<double>& x,
+                                      IncrementalStats* stats = nullptr);
 
-/// Incremental re-solve against the session's edit log. Locality does
-/// the work: an edit with touched set T changes view LPs only inside
-/// B(T, R), and x̃_j only inside B(T, 2R) (x̃_j reads x^u for u ∈ V^j,
-/// and β_j moves only within B(T, R+1)); so the memoized previous run —
-/// which retains every agent's view solution — is re-solved on
-/// B(T, R) and re-gathered on B(T, 2R), everything else spliced
-/// through unchanged. Output is bitwise identical to local_averaging on
-/// the mutated instance. Falls back to the full algorithm (same output)
-/// on the first call, after id remaps, or for damping rules whose
-/// outputs are not per-agent local: kBetaGlobal / kNoneThenScale couple
-/// every agent to every edit. The result's lp_solves reports the LPs
-/// actually solved this run.
+/// As local_averaging_into, returning the full result (x̃, β, |V^j|
+/// and every ω^u) for callers that inspect it.
+LocalAveragingResult local_averaging_with(engine::Session& session,
+                                          const LocalAveragingOptions& options = {},
+                                          IncrementalStats* stats = nullptr);
+
+/// The same as local_averaging_with, under the name the benchmark
+/// client (perfbench/client/serve.cpp) calls.
 LocalAveragingResult local_averaging_incremental(
     engine::Session& session, const LocalAveragingOptions& options = {},
     IncrementalStats* stats = nullptr);
-
-/// As local_averaging_incremental, for callers that want x̃ and the
-/// scalars only (engine::solve): x̃ is copied into `x` and nothing else
-/// n-sized is copied or scanned, so a spliced request costs the dirty
-/// region plus that one copy. Same memo, same bits.
-AveragingScalars local_averaging_incremental_into(
-    engine::Session& session, const LocalAveragingOptions& options,
-    std::vector<double>& x, IncrementalStats* stats = nullptr);
 
 }  // namespace mmlp

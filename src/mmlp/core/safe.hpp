@@ -20,9 +20,9 @@ namespace engine {
 class Session;  // engine/session.hpp
 }
 
-/// The safe solution for the whole instance. The hot loop reads the CSR
-/// blocks directly (I_v scan plus O(1) |V_i| offset lookups) and performs
-/// no per-agent allocation.
+/// The safe solution for the whole instance; the stateless reference.
+/// The hot loop reads the CSR blocks directly (I_v scan plus O(1) |V_i|
+/// offset lookups) and performs no per-agent allocation.
 std::vector<double> safe_solution(const Instance& instance);
 
 struct SafeOptions {
@@ -34,24 +34,17 @@ struct SafeOptions {
   bool deduplicate = false;
 };
 
-/// Warm-session variant: identical output, run on the session's worker
-/// pool. The safe rule derives no cacheable state (horizon 1 reads the
-/// CSR blocks directly), so warm and cold cost the same — the overload
-/// exists so every registered solver speaks the Session API.
-std::vector<double> safe_solution_with(engine::Session& session,
-                                       const SafeOptions& options = {});
-
-/// Incremental re-solve against the session's edit log: re-evaluates
-/// eq. (2) only for agents the deltas since the last safe solve could
-/// have reached (the touched set itself — the rule reads radius-1 data,
+/// Memo-first solve on a session: the session memo keeps the previous
+/// answer, and only agents the edits since could have reached are
+/// re-evaluated (the touched set itself — the rule reads radius-1 data,
 /// and an edit's touched closure already contains every agent whose
-/// a_iv or |V_i| inputs moved) and splices them into the memoized
-/// previous solution. Falls back to a full solve on the first call, on
-/// id remaps, or when no memo exists; either way the result is bitwise
-/// identical to safe_solution on the mutated instance.
-std::vector<double> safe_solution_incremental(engine::Session& session,
-                                              const SafeOptions& options = {},
-                                              IncrementalStats* stats = nullptr);
+/// a_iv or |V_i| inputs moved); a repeat with no edits in between
+/// re-evaluates nothing. Every agent is evaluated on the first call and
+/// after id remaps. Bitwise identical to safe_solution on the current
+/// instance; `stats` (optional) receives the accounting.
+std::vector<double> safe_solution_with(engine::Session& session,
+                                       const SafeOptions& options = {},
+                                       IncrementalStats* stats = nullptr);
 
 /// The single-agent rule, usable from per-agent (distributed) code:
 /// needs I_v with coefficients and |V_i| for each i ∈ I_v.

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <sstream>
 
 #include "mmlp/core/safe.hpp"
@@ -123,19 +122,18 @@ double averaging_pipeline(const Instance& instance, AgentId j,
 
 namespace {
 
-/// Run the materialize-and-solve pipeline for the `count` agents
-/// j = agent_at(0..count-1) and write x[j]. Every caller (all agents,
-/// orbit representatives, a dirty region) runs this one loop. Chunked
-/// so each worker leases one materialization arena and one view/LP
-/// scratch for all its agents; leases come from the session pool so
-/// the buffers stay warm across solves.
-template <typename AgentAt>
+/// Run the materialize-and-solve pipeline for the listed agents j and
+/// write x[j]. Every path (all agents, orbit representatives, a dirty
+/// region) runs this one loop. Chunked so each worker leases one
+/// materialization arena and one view/LP scratch for all its agents;
+/// leases come from the session pool so the buffers stay warm across
+/// solves.
 void decide(engine::Session& session, const LocalAveragingOptions& options,
             const std::vector<std::vector<AgentId>>& knowledge,
-            std::size_t count, AgentAt agent_at, std::vector<double>& x) {
+            AgentList agents, std::vector<double>& x) {
   const Instance& instance = session.instance();
   chunked_parallel_for(
-      count,
+      agents.size(),
       [&](std::size_t begin, std::size_t end) {
         auto scratch = session.dist_scratch().acquire();
         for (std::size_t k = begin; k < end; ++k) {
@@ -143,7 +141,7 @@ void decide(engine::Session& session, const LocalAveragingOptions& options,
           // materialize-and-solve pipeline, coarse enough that chunk
           // boundaries alone would let a deadline overshoot badly.
           cancel::checkpoint();
-          const AgentId j = agent_at(k);
+          const AgentId j = agents[k];
           const auto jj = static_cast<std::size_t>(j);
           x[jj] = averaging_pipeline(instance, j, knowledge[jj], options,
                                      *scratch);
@@ -162,118 +160,70 @@ std::vector<double> distributed_local_averaging(
 
 std::vector<double> distributed_local_averaging_with(
     engine::Session& session, const LocalAveragingOptions& options,
-    DistAveragingStats* stats) {
-  MMLP_CHECK_GE(options.R, 1);
-  MMLP_CHECK_MSG(options.damping == AveragingDamping::kBetaPerAgent,
-                 "only the per-agent damping of eq. (10) is a local rule");
-  const Instance& instance = session.instance();
-  const std::int32_t horizon = 2 * options.R + 1;
-  // flood(2R+1) == B_H(v, 2R+1): serve the knowledge sets from the
-  // session ball cache (see distributed_safe_with).
-  const std::vector<std::vector<AgentId>>& knowledge =
-      session.balls(horizon, options.collaboration_oblivious);
-  const auto n = static_cast<std::size_t>(instance.num_agents());
-  std::vector<double> x(n, 0.0);
-
-  // Which agents run the full materialize-and-solve pipeline: everyone,
-  // or one representative per radius-(2R+1) view orbit (the world an
-  // agent materializes is exactly the structure its horizon view
-  // records, so the scalar decision is shared across an orbit — see the
-  // header comment on the dedup contract).
-  const ViewClassIndex* orbits = nullptr;
-  if (options.deduplicate) {
-    orbits = &session.view_classes(horizon, options.collaboration_oblivious);
-  }
-  if (stats != nullptr) {
-    *stats = DistAveragingStats{};
-    stats->decisions = orbits != nullptr ? orbits->num_orbits() : n;
-    if (orbits != nullptr) {
-      stats->dedup_ratio = orbits->dedup_ratio();
-    }
-  }
-
-  if (orbits == nullptr) {
-    decide(
-        session, options, knowledge, n,
-        [](std::size_t k) { return static_cast<AgentId>(k); }, x);
-    return x;
-  }
-  const std::vector<AgentId>& reps = orbits->orbit_rep;
-  decide(
-      session, options, knowledge, reps.size(),
-      [&](std::size_t k) { return reps[k]; }, x);
-  // With all-singleton orbits every agent is its own representative and
-  // there is nothing to copy.
-  if (reps.size() < n) {
-    parallel_for(
-        n,
-        [&](std::size_t j) {
-          const auto rep = static_cast<std::size_t>(
-              reps[static_cast<std::size_t>(orbits->orbit_of[j])]);
-          if (j != rep) {  // representatives already hold their decision
-            x[j] = x[rep];
-          }
-        },
-        session.pool());
-  }
-  return x;
-}
-
-std::vector<double> distributed_local_averaging_incremental(
-    engine::Session& session, const LocalAveragingOptions& options,
     DistAveragingStats* stats, IncrementalStats* inc_stats) {
   MMLP_CHECK_GE(options.R, 1);
   MMLP_CHECK_MSG(options.damping == AveragingDamping::kBetaPerAgent,
                  "only the per-agent damping of eq. (10) is a local rule");
-  const Instance& instance = session.instance();
-  const auto n = static_cast<std::size_t>(instance.num_agents());
-  IncrementalStats accounting;
-  accounting.dirty_agents = n;
-  accounting.resolved_agents = n;
-
+  const std::int32_t horizon = 2 * options.R + 1;
+  const bool oblivious = options.collaboration_oblivious;
+  DistAveragingStats accounting;
+  const auto kernel = [&](engine::SolveMemo& memo,
+                          const std::vector<AgentId>* dirty) {
+    const auto n = static_cast<std::size_t>(session.instance().num_agents());
+    memo.x.resize(n, 0.0);  // added agents are always in the dirty region
+    // flood(2R+1) == B_H(v, 2R+1): serve the knowledge sets from the
+    // session ball cache (see distributed_safe_with).
+    const std::vector<std::vector<AgentId>>& knowledge =
+        session.balls(horizon, oblivious);
+    // Which agents run the full materialize-and-solve pipeline: the
+    // dirty ones, or — when every agent is dirty and dedup is on — one
+    // representative per radius-(2R+1) view orbit (the world an agent
+    // materializes is exactly the structure its horizon view records,
+    // so the scalar decision is shared across an orbit — see the header
+    // comment on the dedup contract).
+    const ViewClassIndex* orbits =
+        dirty == nullptr && options.deduplicate
+            ? &session.view_classes(horizon, oblivious)
+            : nullptr;
+    const AgentList agents = orbits != nullptr
+                                 ? AgentList{.list = &orbits->orbit_rep}
+                                 : AgentList{.list = dirty, .n = n};
+    decide(session, options, knowledge, agents, memo.x);
+    accounting.decisions = agents.size();
+    if (orbits != nullptr) {
+      accounting.dedup_ratio = orbits->dedup_ratio();
+    }
+    // With all-singleton orbits every agent is its own representative
+    // and there is nothing to copy.
+    if (orbits != nullptr && orbits->num_orbits() < n) {
+      parallel_for(
+          n,
+          [&](std::size_t j) {
+            const auto rep = static_cast<std::size_t>(orbits->orbit_rep[
+                static_cast<std::size_t>(orbits->orbit_of[j])]);
+            if (j != rep) {  // representatives already hold their decision
+              memo.x[j] = memo.x[rep];
+            }
+          },
+          session.pool());
+    }
+    const std::size_t recomputed = dirty != nullptr ? dirty->size() : n;
+    return IncrementalStats{.incremental = dirty != nullptr,
+                            .dirty_agents = recomputed,
+                            .resolved_agents = recomputed};
+  };
   // Dedup-off and the orbit copy are bitwise equal, so they share the
   // memo.
   std::ostringstream key;
-  key << "dist-averaging|R=" << options.R
-      << "|oblivious=" << options.collaboration_oblivious
+  key << "dist-averaging|R=" << options.R << "|oblivious=" << oblivious
       << "|lp=" << fingerprint(options.lp);
-  engine::SolutionMemo& memo = session.solution_memo(key.str());
-
-  const std::int32_t horizon = 2 * options.R + 1;
-  std::optional<std::vector<AgentId>> dirty;
-  if (memo.valid) {
-    dirty = session.dirty_since(memo.revision, horizon,
-                                options.collaboration_oblivious);
+  std::vector<double> x =
+      session.refresh(key.str(), horizon, oblivious, kernel, inc_stats)
+          .memo->x;
+  if (stats != nullptr) {
+    *stats = accounting;
   }
-  const bool splice = memo.valid && dirty.has_value();
-  // Invalidate before any in-place mutation (see safe_solution_
-  // incremental): an abandoned splice — cancellation, deadline — must
-  // leave the memo marked stale, not half-spliced and "valid".
-  memo.valid = false;
-  if (splice) {
-    const std::vector<std::vector<AgentId>>& knowledge =
-        session.balls(horizon, options.collaboration_oblivious);
-    memo.x.resize(n, 0.0);  // added agents are always in the dirty region
-    const std::vector<AgentId>& resolve = *dirty;
-    decide(
-        session, options, knowledge, resolve.size(),
-        [&](std::size_t k) { return resolve[k]; }, memo.x);
-    accounting.incremental = true;
-    accounting.dirty_agents = resolve.size();
-    accounting.resolved_agents = resolve.size();
-    if (stats != nullptr) {
-      *stats = DistAveragingStats{};
-      stats->decisions = resolve.size();
-    }
-  } else {
-    memo.x = distributed_local_averaging_with(session, options, stats);
-  }
-  memo.revision = session.revision();
-  memo.valid = true;
-  if (inc_stats != nullptr) {
-    *inc_stats = accounting;
-  }
-  return memo.x;
+  return x;
 }
 
 }  // namespace mmlp

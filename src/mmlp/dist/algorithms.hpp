@@ -69,18 +69,26 @@ std::vector<double> distributed_local_averaging(
     const Instance& instance, const LocalAveragingOptions& options = {});
 
 /// Dedup accounting of a distributed_local_averaging_with run;
-/// decisions == n and dedup_ratio zero when options.deduplicate was off.
+/// dedup_ratio is zero unless options.deduplicate was on and every
+/// agent was decided.
 struct DistAveragingStats {
   std::size_t decisions = 0;  ///< full per-agent pipelines actually run
   double dedup_ratio = 0.0;   ///< 1 − decisions/n
 };
 
-/// Warm-session variant: the radius-(2R+1) knowledge sets come from the
-/// session's ball cache and the per-worker materialization/view/LP
-/// bundles from its scratch pool. Bitwise identical to
-/// distributed_local_averaging().
+/// Memo-first solve on a session: the radius-(2R+1) knowledge sets come
+/// from the session's ball cache, the per-worker
+/// materialization/view/LP bundles from its scratch pool, and the
+/// answer from its memo of `options`. Agent j's decision is a pure
+/// function of its radius-(2R+1) world, so only agents inside
+/// B(T, 2R+1) of the touched set T of the edits since the memo re-run
+/// the materialize-and-solve pipeline; everyone else keeps the memoized
+/// decision, and a repeat with no edits in between re-runs nothing.
+/// Every agent is decided on the first call and after id remaps.
+/// Bitwise identical to distributed_local_averaging() on the current
+/// instance.
 ///
-/// options.deduplicate short-circuits the per-agent re-derivation
+/// options.deduplicate short-circuits a solve that decides every agent
 /// through the session's radius-(2R+1) view orbits: agent j's decision
 /// x̃_j is a pure function of its world — which AgentContext::materialize
 /// builds from exactly the structure the radius-(2R+1) LocalView records
@@ -89,19 +97,9 @@ struct DistAveragingStats {
 /// worlds are bit-identical local structures (exact orbits) provably
 /// make the bitwise-same scalar decision, and only one member per orbit
 /// runs the full materialize-and-solve pipeline; the others copy its
-/// decision. `stats`, when given, receives the dedup accounting.
+/// decision. `stats` and `inc_stats`, when given, receive the dedup and
+/// memo accounting (decisions counts the pipelines actually run).
 std::vector<double> distributed_local_averaging_with(
-    engine::Session& session, const LocalAveragingOptions& options = {},
-    DistAveragingStats* stats = nullptr);
-
-/// Incremental re-solve against the session's edit log: agent j's
-/// decision is a pure function of its radius-(2R+1) world, so only
-/// agents inside B(T, 2R+1) of the edits' touched set T re-run the
-/// materialize-and-solve pipeline; everyone else keeps the memoized
-/// previous decision. Bitwise identical to distributed_local_averaging
-/// on the mutated instance. Falls back to the full algorithm on the
-/// first call or after id remaps. `stats->decisions` then reports the pipelines actually run.
-std::vector<double> distributed_local_averaging_incremental(
     engine::Session& session, const LocalAveragingOptions& options = {},
     DistAveragingStats* stats = nullptr, IncrementalStats* inc_stats = nullptr);
 

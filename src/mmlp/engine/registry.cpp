@@ -1,7 +1,9 @@
 // The built-in solver registry and the common solve() shell.
 //
-// Each entry adapts one *_with(Session&) overload to the uniform
-// request/response shape; solve() wraps the dispatch with the shared
+// Each entry adapts one session-backed solver to the uniform
+// request/response shape (safe, averaging and distributed averaging
+// are memo-first: a request re-solves only what the edits since the
+// last one reached); solve() wraps the dispatch with the shared
 // post-processing every caller wants — evaluation of the returned x
 // against eq. (1) and the timing/cache breakdown derived from session
 // stats deltas.
@@ -115,14 +117,10 @@ SolverRegistry make_builtin() {
           [](Session& session, const SolveRequest& request,
              SolveResult& result) {
             const SafeOptions options{.deduplicate = request.deduplicate};
-            if (request.incremental) {
-              IncrementalStats stats;
-              result.x = safe_solution_incremental(session, options, &stats);
-              attach_incremental_diagnostics(stats, result);
-            } else {
-              result.x = safe_solution_with(session, options);
-            }
+            IncrementalStats stats;
+            result.x = safe_solution_with(session, options, &stats);
             result.has_solution = true;
+            attach_incremental_diagnostics(stats, result);
           },
   });
   registry.add({
@@ -134,21 +132,13 @@ SolverRegistry make_builtin() {
       .run =
           [](Session& session, const SolveRequest& request,
              SolveResult& result) {
-            AveragingScalars averaging;
             IncrementalStats stats;
-            if (request.incremental) {
-              averaging = local_averaging_incremental_into(
-                  session, averaging_options(request), result.x, &stats);
-              attach_incremental_diagnostics(stats, result);
-            } else {
-              LocalAveragingResult full =
-                  local_averaging_with(session, averaging_options(request));
-              result.x = std::move(full.x);
-              averaging = full;
-            }
+            const AveragingScalars averaging = local_averaging_into(
+                session, averaging_options(request), result.x, &stats);
             result.has_solution = true;
+            attach_incremental_diagnostics(stats, result);
             attach_averaging_diagnostics(averaging, result);
-            // A spliced incremental run solved no orbits to report on.
+            // A spliced run solved no orbits to report on.
             if (request.deduplicate && !stats.incremental) {
               result.diagnostics["dedup_ratio"] = averaging.dedup_ratio;
             }
@@ -248,20 +238,15 @@ SolverRegistry make_builtin() {
           [](Session& session, const SolveRequest& request,
              SolveResult& result) {
             DistAveragingStats stats;
-            if (request.incremental) {
-              IncrementalStats inc;
-              result.x = distributed_local_averaging_incremental(
-                  session, averaging_options(request), &stats, &inc);
-              attach_incremental_diagnostics(inc, result);
-            } else {
-              result.x = distributed_local_averaging_with(
-                  session, averaging_options(request), &stats);
-            }
+            IncrementalStats inc;
+            result.x = distributed_local_averaging_with(
+                session, averaging_options(request), &stats, &inc);
             result.has_solution = true;
+            attach_incremental_diagnostics(inc, result);
             result.diagnostics["R"] = static_cast<double>(request.R);
             result.diagnostics["lp_solves"] =
                 static_cast<double>(stats.decisions);
-            if (request.deduplicate) {
+            if (request.deduplicate && !inc.incremental) {
               result.diagnostics["dedup_ratio"] = stats.dedup_ratio;
             }
           },
@@ -492,7 +477,7 @@ SolveResult solve(Session& session, const SolveRequest& request,
   } catch (const CancelledError& error) {
     // Cooperative abort: the solver unwound through the bulk scheduler's
     // poison path, so no partial work escaped — session caches either
-    // completed their build or were never inserted, and incremental
+    // completed their build or were never inserted, and solve
     // memos invalidate themselves before any in-place mutation. Report
     // through the status taxonomy instead of rethrowing.
     result.status = error.reason() == CancelReason::kDeadline

@@ -240,32 +240,21 @@ Session::ApplyReport Session::apply(const InstanceDelta& delta) {
   if (effect.remapped) {
     // Ids moved: cached structures are not addressable in the new id
     // space. Drop them wholesale (rebuilt lazily, still correct) and
-    // invalidate the incremental memos the same way.
+    // make every memo recompute every agent: its revision now lies
+    // below the log floor.
     report.rebuilt = true;
     graph_[0].reset();
     graph_[1].reset();
     balls_.clear();
     growth_.clear();
     view_classes_.clear();
-    for (auto& [key, memo] : solution_memos_) {
-      memo->valid = false;
-    }
-    for (auto& [key, memo] : averaging_memos_) {
-      memo->valid = false;
-    }
-    if (std::unique_lock<std::mutex> eval_lock(evaluation_mutex_,
-                                               std::try_to_lock);
-        eval_lock.owns_lock()) {
-      evaluation_memo_.valid = false;
-    }
-    log_.push_back({effect.revision, true, {}});
+    forget_log_locked(effect.revision);
     revision_ = effect.revision;
-    prune_log_locked();  // every memo is invalid now: drops the log
     report.apply_ms = timer.milliseconds();
     return report;
   }
 
-  log_.push_back({effect.revision, false, effect.touched});
+  log_.push_back({effect.revision, effect.touched});
 
   // Communication graphs: membership changes rebuild the cached modes;
   // pure value edits leave them untouched (hyperedges carry no values).
@@ -325,7 +314,7 @@ Session::ApplyReport Session::apply(const InstanceDelta& delta) {
   // sets and view orbits derive from them), so a divergence here is the
   // earliest observable symptom of a repair bug — and the response is to
   // stop trusting every cache, not to limp on: drop them wholesale and
-  // invalidate the memos, which turns the bug into cold-cache latency
+  // forget the edit log, which turns the bug into cold-cache latency
   // instead of wrong bits.
   verify_integrity_locked(report);
 
@@ -369,12 +358,7 @@ bool Session::verify_integrity_locked(ApplyReport& report) {
   balls_.clear();
   growth_.clear();
   view_classes_.clear();
-  for (auto& [key, memo] : solution_memos_) {
-    memo->valid = false;
-  }
-  for (auto& [key, memo] : averaging_memos_) {
-    memo->valid = false;
-  }
+  forget_log_locked(instance_->revision());
   ++integrity_fallbacks_;
   fallback_counter.increment();
   return true;
@@ -397,25 +381,26 @@ void Session::corrupt_cached_ball_for_test(std::int32_t radius,
   cached[static_cast<std::size_t>(agent)].clear();
 }
 
+void Session::forget_log_locked(std::uint64_t revision) {
+  log_.clear();
+  log_floor_ = revision;
+}
+
 void Session::prune_log_locked() {
   // Records at or below every valid memo's revision can never be
   // queried again; drop them. The hard cap bounds the log even when a
   // memo goes permanently stale — dirty_since then answers nullopt for
   // it and its next solve falls back to full, which re-stamps it.
   std::uint64_t needed = revision_;
-  for (const auto& [key, memo] : solution_memos_) {
-    if (memo->valid) {
-      needed = std::min(needed, memo->revision);
+  // A solve holding a memo would overlap this apply, which the contract
+  // rules out; skipping a busy memo then only costs it its splice
+  // (dirty_since answers nullopt below the floor).
+  for (const auto& [key, slot] : memos_) {
+    if (std::unique_lock<std::mutex> lock(slot->mutex, std::try_to_lock);
+        lock.owns_lock() && slot->memo.valid) {
+      needed = std::min(needed, slot->memo.revision);
     }
   }
-  for (const auto& [key, memo] : averaging_memos_) {
-    if (memo->valid) {
-      needed = std::min(needed, memo->revision);
-    }
-  }
-  // A solve holding the evaluation memo would overlap this apply, which
-  // the contract rules out; skipping it then only costs that memo its
-  // splice (dirty_since answers nullopt below the floor).
   if (std::unique_lock<std::mutex> lock(evaluation_mutex_, std::try_to_lock);
       lock.owns_lock() && evaluation_memo_.valid) {
     needed = std::min(needed, evaluation_memo_.revision);
@@ -449,9 +434,6 @@ std::optional<std::vector<AgentId>> Session::dirty_since(
     }
     for (auto it = log_.rbegin();
          it != log_.rend() && it->revision > since_revision; ++it) {
-      if (it->full) {
-        return std::nullopt;
-      }
       touched.insert(touched.end(), it->touched.begin(), it->touched.end());
     }
   }
@@ -465,22 +447,19 @@ std::optional<std::vector<AgentId>> Session::dirty_since(
   return multi_source_ball(h, touched, radius);
 }
 
-SolutionMemo& Session::solution_memo(const std::string& fingerprint) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = solution_memos_[fingerprint];
-  if (slot == nullptr) {
-    slot = std::make_unique<SolutionMemo>();
+Session::MemoLease Session::lease_memo(const std::string& fingerprint) {
+  MemoSlot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto& entry = memos_[fingerprint];
+    if (entry == nullptr) {
+      entry = std::make_unique<MemoSlot>();
+    }
+    slot = entry.get();
   }
-  return *slot;
-}
-
-AveragingMemo& Session::averaging_memo(const std::string& fingerprint) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = averaging_memos_[fingerprint];
-  if (slot == nullptr) {
-    slot = std::make_unique<AveragingMemo>();
-  }
-  return *slot;
+  // Block outside the session mutex: the lease holder takes it on every
+  // cache lookup.
+  return {&slot->memo, std::unique_lock<std::mutex>(slot->mutex)};
 }
 
 Session::EvaluationLease Session::try_evaluation_memo() {
@@ -513,10 +492,8 @@ SessionStats Session::stats() const {
         .set(static_cast<std::int64_t>(growth_.size()));
     registry.gauge("session.view_classes.entries")
         .set(static_cast<std::int64_t>(view_classes_.size()));
-    registry.gauge("session.solution_memos")
-        .set(static_cast<std::int64_t>(solution_memos_.size()));
-    registry.gauge("session.averaging_memos")
-        .set(static_cast<std::int64_t>(averaging_memos_.size()));
+    registry.gauge("session.memos")
+        .set(static_cast<std::int64_t>(memos_.size()));
     registry.gauge("session.edit_log_records")
         .set(static_cast<std::int64_t>(log_.size()));
   }

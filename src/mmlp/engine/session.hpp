@@ -31,23 +31,28 @@
 // stale structure can never reach a solver (mutating the instance
 // behind the session's back trips the same assert). Deltas that remap
 // agent ids (removals) fall back to dropping the caches wholesale —
-// still correct, just cold. Incremental re-solves additionally keep
-// per-algorithm memos (previous solution + per-view state) keyed by an
-// options fingerprint; dirty_since() turns the edit log into the ball
-// around everything edited after a given revision.
+// still correct, just cold. Safe, averaging and distributed averaging
+// solve memo-first (refresh()): each keeps its previous answer, plus
+// per-view state, in a memo keyed by an options fingerprint, and
+// dirty_since() turns the edit log into the ball around everything
+// edited after the memo's revision. Only that region is re-solved, so
+// a repeat with no edits in between re-solves nothing; a full solve is
+// the case where every agent is dirty (first solve, id remaps).
 //
 // Thread-safety: the cache accessors are serialised by an internal
 // mutex, so concurrent solves on one session are safe; the scratch
 // pools are lock-protected checkouts designed for exactly that. Cached
 // references remain valid for the session's lifetime — repairs mutate
 // entries in place — EXCEPT after an apply() that remapped agent ids,
-// which invalidates previously returned references. apply() itself and
-// incremental solves must not run concurrently with other solves on the
-// same session (they mutate the instance and the memos those solves
-// read). The evaluation memo engine::solve splices into has its own
-// mutex, taken by try-lock, so overlapping non-incremental solves stay
-// safe: the one that finds it busy evaluates statelessly. Results are
-// bitwise identical to the cold free-function paths.
+// which invalidates previously returned references. apply() itself
+// must not run concurrently with solves on the same session (it
+// mutates the instance they read). Each solve memo is reached only
+// through a blocking lease on its own mutex (MemoLease), so solves that
+// share a memo run one after the other and solves with different memos
+// overlap freely. The evaluation memo engine::solve splices into has
+// its own mutex too, taken by try-lock: a solve that finds it busy
+// evaluates statelessly. Results are bitwise identical to the
+// stateless free functions.
 #pragma once
 
 #include <cstdint>
@@ -59,13 +64,14 @@
 #include <utility>
 #include <vector>
 
+#include "mmlp/core/incremental.hpp"
 #include "mmlp/core/instance.hpp"
-#include "mmlp/core/local_averaging.hpp"
 #include "mmlp/core/solution.hpp"
 #include "mmlp/core/view.hpp"
 #include "mmlp/core/view_class.hpp"
 #include "mmlp/dist/runtime.hpp"
 #include "mmlp/graph/hypergraph.hpp"
+#include "mmlp/util/cancel.hpp"
 #include "mmlp/util/parallel.hpp"
 #include "mmlp/util/scratch_pool.hpp"
 
@@ -110,24 +116,15 @@ struct DistScratch {
   ViewScratch view;
 };
 
-/// Previous solution retained for incremental re-solves whose per-agent
-/// outputs are scalars (safe, distributed averaging).
-struct SolutionMemo {
-  bool valid = false;
-  std::uint64_t revision = 0;  ///< instance revision the solution matches
-  std::vector<double> x;
-};
-
-/// Previous local-averaging run retained for incremental re-solves: x̃,
-/// the scalars, and every agent's view-LP solution x^u with its ω^u
-/// (the gather of eq. (10) needs x^u_j for *unchanged* u ∈ V^j too, so
-/// the per-view state must outlive the solve that produced it). β and
-/// |V^j| are not copied here: the session's growth sets hold them.
-struct AveragingMemo {
+/// A solver's memoized answer: `x` is its output for instance revision
+/// `revision` when `valid`. Averaging also keeps every agent's view-LP
+/// solution x^u with its ω^u, because the eq. (10) gather reads x^u_j
+/// for unchanged u ∈ V^j too; safe and distributed averaging leave
+/// those empty. β and |V^j| are not kept: the growth sets hold them.
+struct SolveMemo {
   bool valid = false;
   std::uint64_t revision = 0;
   std::vector<double> x;
-  AveragingScalars scalars;
   std::vector<double> view_omega;
   std::vector<std::vector<double>> view_x;
 };
@@ -172,8 +169,8 @@ class Session {
     /// spot-check (a few per cached entry).
     std::size_t verified_balls = 0;
     /// The spot-check found a cached ball diverging from a from-scratch
-    /// recompute: every cache was dropped (rebuilt set too) and every
-    /// memo invalidated, so the next solves run full but correct.
+    /// recompute: every cache and the edit log were dropped (rebuilt
+    /// set too), so the next solves run full but correct.
     bool integrity_fallback = false;
     double apply_ms = 0.0;
   };
@@ -193,12 +190,47 @@ class Session {
                                                   std::int32_t radius,
                                                   bool collaboration_oblivious);
 
-  /// Incremental-solve memos, keyed by an options fingerprint the
-  /// solver chooses. The reference stays valid for the session's
-  /// lifetime; contents are owned by the solver (single incremental
-  /// solve at a time per session).
-  SolutionMemo& solution_memo(const std::string& fingerprint);
-  AveragingMemo& averaging_memo(const std::string& fingerprint);
+  /// Exclusive use of one solve memo for as long as the lease lives.
+  struct MemoLease {
+    SolveMemo* memo = nullptr;
+    std::unique_lock<std::mutex> lock;
+  };
+
+  /// The memo-first protocol of safe, averaging and distributed
+  /// averaging. Leases the memo keyed `fingerprint` (the solver picks
+  /// the key; blocking, so solves sharing a memo take turns), polls the
+  /// cancel token once so a request that waited out its deadline
+  /// answers timeout, asks dirty_since for the agents within `radius`
+  /// of the edits since the memo's revision, marks the memo invalid,
+  /// and runs kernel(memo, dirty). `dirty` is null when every agent
+  /// must be recomputed (no valid memo, or the edit log cannot name the
+  /// region) and empty on a repeat with no edits; memo.revision still
+  /// names the old revision while the kernel runs. The kernel returns
+  /// its accounting, which lands in `*stats` when given. The memo is
+  /// then stamped with the session revision and valid again; a kernel
+  /// that throws leaves it invalid, so the next request recomputes
+  /// every agent. Returns the lease, still held.
+  template <typename Kernel>
+  MemoLease refresh(const std::string& fingerprint, std::int32_t radius,
+                    bool collaboration_oblivious, Kernel&& kernel,
+                    IncrementalStats* stats) {
+    MemoLease lease = lease_memo(fingerprint);
+    cancel::checkpoint();
+    SolveMemo& memo = *lease.memo;
+    std::optional<std::vector<AgentId>> dirty;
+    if (memo.valid) {
+      dirty = dirty_since(memo.revision, radius, collaboration_oblivious);
+    }
+    memo.valid = false;
+    const IncrementalStats accounting =
+        kernel(memo, dirty.has_value() ? &*dirty : nullptr);
+    memo.revision = revision();
+    memo.valid = true;
+    if (stats != nullptr) {
+      *stats = accounting;
+    }
+    return lease;
+  }
 
   /// Exclusive use of the evaluation memo for as long as the lease
   /// lives. Taken by try-lock: when another solve holds the memo, the
@@ -276,11 +308,20 @@ class Session {
   /// One applied delta, as dirty_since needs it.
   struct EditRecord {
     std::uint64_t revision = 0;
-    bool full = false;  ///< remapped ids: no surgical dirty set exists
     std::vector<AgentId> touched;
   };
 
+  /// A memo slot: the memo and the mutex its leases hold.
+  struct MemoSlot {
+    std::mutex mutex;
+    SolveMemo memo;
+  };
+
   void assert_fresh(std::uint64_t entry_revision) const;
+  MemoLease lease_memo(const std::string& fingerprint);
+  /// Empty the edit log and raise its floor to the current edit, so
+  /// every memo recomputes every agent on its next solve.
+  void forget_log_locked(std::uint64_t revision);
   void prune_log_locked();
   /// Spot-check the repaired ball caches against from-scratch BFS;
   /// true = a divergence was found and every cache/memo was dropped.
@@ -296,16 +337,16 @@ class Session {
   /// Edit log for dirty_since. Pruned on every apply: records no valid
   /// memo can query any more are dropped, and a hard cap bounds the
   /// log on sessions whose memos go stale — log_floor_ records the
-  /// highest pruned revision, below which dirty_since reports nullopt
-  /// (the caller then falls back to a full solve).
+  /// highest pruned revision (or the last edit that remapped ids or
+  /// failed the integrity check), below which dirty_since reports
+  /// nullopt (the caller then recomputes every agent).
   std::vector<EditRecord> log_;
   std::uint64_t log_floor_ = 0;
   std::optional<Stamped<Hypergraph>> graph_[2];  // [collaboration_oblivious]
   std::map<Key, Stamped<std::vector<std::vector<AgentId>>>> balls_;
   std::map<Key, Stamped<GrowthSets>> growth_;
   std::map<Key, Stamped<ViewClassIndex>> view_classes_;
-  std::map<std::string, std::unique_ptr<SolutionMemo>> solution_memos_;
-  std::map<std::string, std::unique_ptr<AveragingMemo>> averaging_memos_;
+  std::map<std::string, std::unique_ptr<MemoSlot>> memos_;
   std::mutex evaluation_mutex_;  // guards evaluation_memo_ (own lock: try-locked)
   EvaluationMemo evaluation_memo_;
   std::int64_t cache_hits_ = 0;

@@ -46,16 +46,15 @@ struct SolveRequest {
   /// bit-identical views, so the output stays bitwise identical to the
   /// non-deduplicated solve; the session caches the orbit partition per
   /// (radius, mode). The averaging solvers' diagnostics gain dedup_ratio
-  /// (lp_solves, the orbit count when deduplicating, is reported always).
+  /// when the request solved every agent rather than splicing its memo
+  /// (lp_solves, the LPs this request solved, is reported always).
   bool deduplicate = false;
-  /// Re-solve only the dirty region of the deltas applied (via
-  /// Session::apply) since the previous solve of the same shape, and
-  /// splice into the memoized result (safe, averaging,
-  /// distributed-averaging). Bitwise identical to a full solve of the
-  /// mutated instance; the first solve, id-remapping deltas, and
-  /// non-local option combinations fall back to the full algorithm.
-  /// Diagnostics gain incremental / dirty_agents / resolved_agents.
-  /// Incremental requests must not run concurrently on one session.
+  /// Accepted for wire compatibility and ignored: safe, averaging and
+  /// distributed-averaging are memo-first on every request — only the
+  /// dirty region of the deltas applied (via Session::apply) since the
+  /// previous solve of the same shape is re-solved, bitwise identical to
+  /// a full solve — and their diagnostics always carry incremental /
+  /// dirty_agents / resolved_agents.
   bool incremental = false;
   /// Enable the mmlp::obs span tracer for the duration of this request
   /// (no-op when a caller — e.g. mmlp_batch --trace-out — already turned
@@ -118,7 +117,9 @@ struct SolveResult {
 
   /// Algorithm diagnostics, e.g. averaging {"ratio_bound", "R"},
   /// greedy {"steps"}, optimal {"exact"}, sublinear {"mean_benefit",
-  /// "half_width", "agents_evaluated"}.
+  /// "half_width", "agents_evaluated"}. May hold non-finite values
+  /// (averaging's ratio_bound is +inf when some m_k = 0); the wire
+  /// writes those as null.
   std::map<std::string, double> diagnostics;
 
   /// Timing breakdown. total_ms = cache_build_ms + solve_ms +

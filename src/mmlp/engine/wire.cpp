@@ -698,7 +698,14 @@ std::string result_to_json_line(const SolveResult& result,
       first = false;
       append_escaped(oss, key);
       oss << ": ";
-      append_number(oss, value);
+      // A diagnostic may legitimately be unbounded (ratio_bound with
+      // some m_k = 0); JSON has no infinity, so it reads null. omega
+      // and x stay checked: a non-finite value there is a bug.
+      if (std::isfinite(value)) {
+        append_number(oss, value);
+      } else {
+        oss << "null";
+      }
     }
     oss << '}';
   }

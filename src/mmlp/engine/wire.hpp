@@ -14,8 +14,10 @@
 //   deduplicate             bool     one LP per view orbit (bitwise-equal
 //                                    output; averaging/dist-averaging;
 //                                    safe accepts and ignores it)
-//   incremental             bool     splice the dirty region of applied
-//                                    updates into the previous result
+//   incremental             bool     accepted and ignored: safe, averaging
+//                                    and distributed-averaging always
+//                                    splice the dirty region of applied
+//                                    updates into the session's memo
 //   threads                 int      must match the session pool when set
 //   seed                    int      sublinear sampling seed
 //   samples                 int      sublinear sample count
@@ -45,8 +47,9 @@
 // Update keys: set_usage [{i,v,a}], erase_usage [{i,v}], set_benefit
 // [{k,v,c}], erase_benefit [{k,v}], add_agents, add_resources,
 // add_parties (ints), remove_agents ([ints]), id. A hot batch session
-// interleaves updates and (incremental) solves: mmlp_batch routes
-// updates through Session::apply, which repairs the caches surgically.
+// interleaves updates and solves: mmlp_batch routes updates through
+// Session::apply, which repairs the caches surgically, and the next
+// solve re-solves only what the updates reached.
 //
 // A *stats* line — {"op": "stats", "id": 7} — takes no other keys and
 // answers with the observability state of the process: the session's
@@ -58,7 +61,9 @@
 // matching the ArgParser convention). Responses are emitted one JSON
 // object per line with the evaluation, diagnostics and the timing/cache
 // breakdown; the solution vector rides along only when asked (emit_x) —
-// at 10^5 agents it dominates the payload.
+// at 10^5 agents it dominates the payload. A non-finite diagnostic
+// (averaging's ratio_bound is +inf when some m_k = 0) is written as
+// null; omega and x must be finite.
 //
 // Error lines carry a stable `code` field so stream consumers can
 // dispatch without parsing the message text:

@@ -32,7 +32,7 @@
 // Registry::global() names in use (see docs/ARCHITECTURE.md for the
 // taxonomy): simplex.{solves,pivots}, bfs.ball_expansions,
 // session.{graph,balls,growth,view_classes}.{hits,misses,entries},
-// session.{deltas,solution_memos,averaging_memos,edit_log_records},
+// session.{deltas,memos,edit_log_records},
 // scratch.leases, engine.requests, and the engine.request_ms latency
 // histogram.
 #pragma once

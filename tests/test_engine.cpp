@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -258,8 +259,11 @@ TEST(EngineSolve, DeduplicateRequestMatchesBitwiseAndReportsDiagnostics) {
   for (const char* const name :
        {"safe", "averaging", "distributed-averaging"}) {
     const std::string algorithm(name);
+    // A fresh session for the reference: on `session` the dedup-off
+    // solve would leave a memo the dedup solve then merely re-serves.
+    engine::Session reference(instance);
     const engine::SolveResult off =
-        engine::solve(session, {.algorithm = algorithm, .R = 1});
+        engine::solve(reference, {.algorithm = algorithm, .R = 1});
     const engine::SolveResult on = engine::solve(
         session, {.algorithm = algorithm, .R = 1, .deduplicate = true});
     EXPECT_EQ(on.x, off.x) << algorithm;
@@ -277,6 +281,30 @@ TEST(EngineSolve, DeduplicateRequestMatchesBitwiseAndReportsDiagnostics) {
   const engine::SolveResult again = engine::solve(
       session, {.algorithm = "averaging", .R = 1, .deduplicate = true});
   EXPECT_EQ(again.cache_misses, 0);
+}
+
+TEST(Wire, UnboundedDiagnosticIsNullNotAnError) {
+  // Collaboration-oblivious averaging on this random instance leaves
+  // some m_k = 0, so Theorem 3's ratio_bound is +inf. The request must
+  // still answer a result line, with the bound written as null.
+  const Instance instance = make_random_instance({
+      .num_agents = 900,
+      .resources_per_agent = 3,
+      .parties_per_agent = 2,
+      .max_support = 4,
+      .seed = 5,
+  });
+  engine::Session session(instance);
+  const engine::WireRequest wire = engine::parse_request_line(
+      R"({"algorithm": "averaging", "R": 1, "collaboration_oblivious": true})");
+  const engine::SolveResult result = engine::solve(session, wire.request);
+  ASSERT_EQ(result.status, engine::SolveStatus::kOk);
+  EXPECT_TRUE(std::isinf(result.diagnostics.at("ratio_bound")));
+  const std::string line = engine::result_to_json_line(result, "", false);
+  EXPECT_EQ(line.rfind("{\"algorithm\": \"averaging\", \"status\": \"ok\"", 0),
+            0u)
+      << line;
+  EXPECT_NE(line.find("\"ratio_bound\": null"), std::string::npos) << line;
 }
 
 TEST(Wire, ParsesEveryDocumentedKey) {

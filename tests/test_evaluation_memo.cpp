@@ -5,20 +5,25 @@
 // request, ω, feasibility and the party benefits on the result — and
 // the memo's own per-row sums — must be bit-equal to the stateless
 // evaluate() of the same x, whatever edits, algorithms, cancelled
-// requests and concurrent solves came before.
+// requests and concurrent solves came before. The solve memos ride
+// along: concurrent requests on one session must answer the stateless
+// reference's x too.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <latch>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "mmlp/core/instance.hpp"
+#include "mmlp/core/local_averaging.hpp"
 #include "mmlp/core/safe.hpp"
 #include "mmlp/core/solution.hpp"
+#include "mmlp/dist/algorithms.hpp"
 #include "mmlp/engine/session.hpp"
 #include "mmlp/engine/solver.hpp"
 #include "mmlp/gen/grid.hpp"
@@ -357,6 +362,92 @@ TEST(EvaluationMemo, ConcurrentSolvesEvaluateCorrectly) {
   const SolveResult last = engine::solve(session, requests[0]);
   expect_matches_stateless(instance, last, "after the concurrent solves");
   expect_memo_whole(session, last.x, "after the concurrent solves");
+}
+
+TEST(EvaluationMemo, ConcurrentMemoFirstSolvesMatchTheStatelessReference) {
+  // Four callers start together after each edit and mix requests that
+  // share a solve memo (the same algorithm and options; dedup and the
+  // ignored incremental key do not change the memo) with requests that
+  // do not. Callers 0 and 1 issue the same sequence, and 2 and 3 the
+  // same sequence shifted by one dedup flip, so every request collides
+  // with its twin on one memo. Sharers take turns on the memo's lease:
+  // the first after an edit splices, the rest find it fresh. Every x
+  // must be the stateless reference's, bit for bit, and every
+  // evaluation the stateless evaluate()'s.
+  Instance instance = make_grid_instance(
+      {.dims = {8, 8}, .torus = true, .randomize = true, .seed = 12});
+  Session session(instance);
+  std::vector<SolveRequest> requests;
+  for (const std::int32_t R : {1, 2}) {
+    for (const char* algorithm :
+         {"averaging", "safe", "distributed-averaging"}) {
+      if (R == 2 && std::string(algorithm) != "averaging") {
+        continue;
+      }
+      for (const bool deduplicate : {false, true}) {
+        for (const bool incremental : {true, false}) {
+          SolveRequest request;
+          request.algorithm = algorithm;
+          request.R = R;
+          request.deduplicate = deduplicate;
+          request.incremental = incremental;
+          requests.push_back(request);
+        }
+      }
+    }
+  }
+
+  Rng rng(31);
+  for (std::size_t round = 0; round < 6; ++round) {
+    if (round > 0) {
+      (void)session.apply(random_edit(rng, instance));
+    }
+    const std::vector<double> safe = safe_solution(instance);
+    const std::vector<double> averaging_r1 =
+        local_averaging(instance, {.R = 1}).x;
+    const std::vector<double> averaging_r2 =
+        local_averaging(instance, {.R = 2}).x;
+    const std::vector<double> distributed =
+        distributed_local_averaging(instance, {.R = 1});
+    const auto reference = [&](const SolveRequest& request)
+        -> const std::vector<double>& {
+      if (request.algorithm == "safe") {
+        return safe;
+      }
+      if (request.algorithm == "distributed-averaging") {
+        return distributed;
+      }
+      return request.R == 1 ? averaging_r1 : averaging_r2;
+    };
+
+    std::atomic<int> mismatches{0};
+    std::latch start(4);
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < 4; ++t) {
+      callers.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (std::size_t r = 0; r < requests.size(); ++r) {
+          const SolveRequest& request =
+              requests[(r + 2 * (t / 2)) % requests.size()];
+          const SolveResult result = engine::solve(session, request);
+          std::vector<double> benefits;
+          const Evaluation evaluation =
+              evaluate(instance, result.x, &benefits);
+          if (!result.has_solution ||
+              !bit_equal(result.x, reference(request)) ||
+              !same_bits(result.omega, evaluation.omega) ||
+              result.feasible != evaluation.feasible() ||
+              !bit_equal(result.party_benefit, benefits)) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& caller : callers) {
+      caller.join();
+    }
+    EXPECT_EQ(mismatches.load(), 0) << "round " << round;
+  }
 }
 
 }  // namespace

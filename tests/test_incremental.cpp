@@ -217,9 +217,9 @@ TEST(IncrementalSolve, MatchesColdSolveBitwiseAcrossDeltas) {
         const SafeOptions safe_options{.deduplicate = dedup};
 
         // Prime the memos (full solves).
-        (void)safe_solution_incremental(session, safe_options);
-        (void)local_averaging_incremental(session, options);
-        (void)distributed_local_averaging_incremental(session, options);
+        (void)safe_solution_with(session, safe_options);
+        (void)local_averaging_with(session, options);
+        (void)distributed_local_averaging_with(session, options);
 
         int step = 0;
         for (const InstanceDelta& delta : delta_sequence(original)) {
@@ -233,14 +233,14 @@ TEST(IncrementalSolve, MatchesColdSolveBitwiseAcrossDeltas) {
 
           IncrementalStats safe_stats;
           const std::vector<double> safe_inc =
-              safe_solution_incremental(session, safe_options, &safe_stats);
+              safe_solution_with(session, safe_options, &safe_stats);
           EXPECT_TRUE(safe_stats.incremental) << context;
           EXPECT_EQ(safe_inc, safe_solution_with(cold, safe_options))
               << context;
 
           IncrementalStats avg_stats;
           const LocalAveragingResult avg_inc =
-              local_averaging_incremental(session, options, &avg_stats);
+              local_averaging_with(session, options, &avg_stats);
           EXPECT_TRUE(avg_stats.incremental) << context;
           const LocalAveragingResult avg_cold =
               local_averaging_with(cold, options);
@@ -265,7 +265,7 @@ TEST(IncrementalSolve, MatchesColdSolveBitwiseAcrossDeltas) {
 
           IncrementalStats dist_stats;
           const std::vector<double> dist_inc =
-              distributed_local_averaging_incremental(session, options,
+              distributed_local_averaging_with(session, options,
                                                       nullptr, &dist_stats);
           EXPECT_TRUE(dist_stats.incremental) << context;
           EXPECT_EQ(dist_inc, distributed_local_averaging_with(cold, options))
@@ -280,8 +280,8 @@ TEST(IncrementalSolve, RemovalFallsBackToAFullSolveAndStaysExact) {
   Instance working = make_grid_instance({.dims = {6, 6}, .torus = true});
   engine::Session session(working);
   LocalAveragingOptions options;
-  (void)local_averaging_incremental(session, options);
-  (void)safe_solution_incremental(session);
+  (void)local_averaging_with(session, options);
+  (void)safe_solution_with(session);
 
   InstanceDelta removal;
   removal.remove_agent(10);
@@ -290,12 +290,12 @@ TEST(IncrementalSolve, RemovalFallsBackToAFullSolveAndStaysExact) {
   engine::Session cold(static_cast<const Instance&>(working));
   IncrementalStats stats;
   const LocalAveragingResult inc =
-      local_averaging_incremental(session, options, &stats);
+      local_averaging_with(session, options, &stats);
   EXPECT_FALSE(stats.incremental);  // full-invalidation fallback
   EXPECT_EQ(inc.x, local_averaging_with(cold, options).x);
   IncrementalStats safe_stats;
   const std::vector<double> safe_inc =
-      safe_solution_incremental(session, {}, &safe_stats);
+      safe_solution_with(session, {}, &safe_stats);
   EXPECT_FALSE(safe_stats.incremental);
   EXPECT_EQ(safe_inc, safe_solution_with(cold, {}));
 }
@@ -306,7 +306,7 @@ TEST(IncrementalSolve, NonLocalOptionsAlwaysRunTheFullAlgorithm) {
   LocalAveragingOptions global_damping;
   global_damping.damping = AveragingDamping::kBetaGlobal;
   IncrementalStats stats;
-  (void)local_averaging_incremental(session, global_damping, &stats);
+  (void)local_averaging_with(session, global_damping, &stats);
   EXPECT_FALSE(stats.incremental);
 
   InstanceDelta delta;
@@ -314,7 +314,7 @@ TEST(IncrementalSolve, NonLocalOptionsAlwaysRunTheFullAlgorithm) {
   delta.set_usage(0, first.id, first.value * 3.0);
   (void)session.apply(delta);
   const LocalAveragingResult inc =
-      local_averaging_incremental(session, global_damping, &stats);
+      local_averaging_with(session, global_damping, &stats);
   EXPECT_FALSE(stats.incremental);
   engine::Session cold(static_cast<const Instance&>(working));
   EXPECT_EQ(inc.x, local_averaging_with(cold, global_damping).x);
@@ -326,7 +326,7 @@ TEST(IncrementalSolve, PrunedEditLogFallsBackToAFullSolveAndStaysExact) {
   // must fall back to a full solve (never a wrong splice).
   Instance working = make_grid_instance({.dims = {5, 5}, .torus = true});
   engine::Session session(working);
-  (void)local_averaging_incremental(session, {});  // memo at revision 0
+  (void)local_averaging_with(session, {});  // memo at revision 0
 
   const Coef first = working.resource_support(0)[0];
   for (int edit = 0; edit < 1100; ++edit) {  // > the 1024-record cap
@@ -337,7 +337,7 @@ TEST(IncrementalSolve, PrunedEditLogFallsBackToAFullSolveAndStaysExact) {
 
   IncrementalStats stats;
   const LocalAveragingResult inc =
-      local_averaging_incremental(session, {}, &stats);
+      local_averaging_with(session, {}, &stats);
   EXPECT_FALSE(stats.incremental);  // log floor rose past the memo
   engine::Session cold(static_cast<const Instance&>(working));
   EXPECT_EQ(inc.x, local_averaging_with(cold, {}).x);
@@ -347,7 +347,7 @@ TEST(IncrementalSolve, PrunedEditLogFallsBackToAFullSolveAndStaysExact) {
   delta.set_usage(0, first.id, first.value * 2.0);
   (void)session.apply(delta);
   const LocalAveragingResult again =
-      local_averaging_incremental(session, {}, &stats);
+      local_averaging_with(session, {}, &stats);
   EXPECT_TRUE(stats.incremental);
   engine::Session cold2(static_cast<const Instance&>(working));
   EXPECT_EQ(again.x, local_averaging_with(cold2, {}).x);
@@ -357,10 +357,10 @@ TEST(IncrementalSolve, NoOpReSolveTouchesNothing) {
   Instance working = make_grid_instance({.dims = {5, 5}, .torus = true});
   engine::Session session(working);
   const LocalAveragingResult first =
-      local_averaging_incremental(session, {});
+      local_averaging_with(session, {});
   IncrementalStats stats;
   const LocalAveragingResult again =
-      local_averaging_incremental(session, {}, &stats);
+      local_averaging_with(session, {}, &stats);
   EXPECT_TRUE(stats.incremental);
   EXPECT_EQ(stats.dirty_agents, 0u);
   EXPECT_EQ(stats.resolved_agents, 0u);

@@ -130,11 +130,16 @@ TEST(ViewClassIndex, RepairSplitsAndRemergesOrbits) {
   EXPECT_EQ(session.view_classes(1, false).num_orbits(), 49u);
   EXPECT_EQ(session.view_classes(2, false).num_orbits(), 121u);
   for (const std::int32_t R : {1, 2}) {
-    (void)local_averaging_incremental(session, {.R = R, .deduplicate = true});
+    (void)local_averaging_with(session, {.R = R, .deduplicate = true});
   }
-  (void)distributed_local_averaging_incremental(
+  (void)distributed_local_averaging_with(
       session, {.R = 1, .deduplicate = true});
 
+  // Each check's first dedup solves run under simplex options the
+  // session has not seen, so they have no memo and solve every orbit
+  // from the repaired partition; the solves with the default options
+  // then splice the memos primed above.
+  std::int64_t unseen_key = 0;
   const auto check = [&](const char* step) {
     for (const std::int32_t r : radii) {
       const ViewClassIndex& repaired = session.view_classes(r, false);
@@ -144,14 +149,20 @@ TEST(ViewClassIndex, RepairSplitsAndRemergesOrbits) {
       EXPECT_EQ(repaired.orbit_rep, fresh.orbit_rep) << step << " r=" << r;
       EXPECT_EQ(repaired.orbit_size, fresh.orbit_size) << step << " r=" << r;
     }
+    ++unseen_key;
+    IncrementalStats stats;
     for (const std::int32_t R : {1, 2}) {
       const std::vector<double> off = local_averaging(working, {.R = R}).x;
-      EXPECT_EQ(local_averaging_with(session, {.R = R, .deduplicate = true}).x,
-                off)
+      LocalAveragingOptions unseen{.R = R, .deduplicate = true};
+      unseen.lp.max_iterations += unseen_key;
+      const LocalAveragingResult full =
+          local_averaging_with(session, unseen, &stats);
+      EXPECT_EQ(full.x, off) << step << " R=" << R;
+      EXPECT_FALSE(stats.incremental) << step << " R=" << R;
+      EXPECT_EQ(full.lp_solves, session.view_classes(R, false).num_orbits())
           << step << " R=" << R;
-      IncrementalStats stats;
-      EXPECT_EQ(local_averaging_incremental(
-                    session, {.R = R, .deduplicate = true}, &stats)
+      EXPECT_EQ(local_averaging_with(session, {.R = R, .deduplicate = true},
+                                     &stats)
                     .x,
                 off)
           << step << " R=" << R;
@@ -159,12 +170,17 @@ TEST(ViewClassIndex, RepairSplitsAndRemergesOrbits) {
     }
     const std::vector<double> dist_off =
         distributed_local_averaging(working, {.R = 1});
-    EXPECT_EQ(
-        distributed_local_averaging_with(session, {.R = 1, .deduplicate = true}),
-        dist_off)
+    LocalAveragingOptions unseen{.R = 1, .deduplicate = true};
+    unseen.lp.max_iterations += unseen_key;
+    DistAveragingStats dist_stats;
+    EXPECT_EQ(distributed_local_averaging_with(session, unseen, &dist_stats,
+                                               &stats),
+              dist_off)
         << step;
-    IncrementalStats stats;
-    EXPECT_EQ(distributed_local_averaging_incremental(
+    EXPECT_FALSE(stats.incremental) << step;
+    EXPECT_EQ(dist_stats.decisions, session.view_classes(3, false).num_orbits())
+        << step;
+    EXPECT_EQ(distributed_local_averaging_with(
                   session, {.R = 1, .deduplicate = true}, nullptr, &stats),
               dist_off)
         << step;
@@ -205,8 +221,7 @@ TEST(DedupAveraging, ExactScatterBitwiseEqualEverywhere) {
   for (const auto& [name, instance] : instances) {
     for (const std::int32_t R : {1, 2}) {
       engine::Session session(instance);
-      const LocalAveragingResult off =
-          local_averaging_with(session, {.R = R});
+      const LocalAveragingResult off = local_averaging(instance, {.R = R});
       const LocalAveragingResult on =
           local_averaging_with(session, {.R = R, .deduplicate = true});
       EXPECT_EQ(on.x, off.x) << name << " R=" << R;
@@ -230,7 +245,7 @@ TEST(DedupAveraging, SingletonClassesFallBackToPerAgentSolves) {
       .seed = 29,
   });
   engine::Session session(instance);
-  const LocalAveragingResult off = local_averaging_with(session, {.R = 1});
+  const LocalAveragingResult off = local_averaging(instance, {.R = 1});
   const LocalAveragingResult on =
       local_averaging_with(session, {.R = 1, .deduplicate = true});
   EXPECT_EQ(on.x, off.x);
@@ -245,7 +260,7 @@ TEST(DedupSafe, BitwiseEqualToPerAgentRule) {
         make_random_instance({.num_agents = 80, .seed = 5})}) {
     engine::Session session(instance);
     EXPECT_EQ(safe_solution_with(session, {.deduplicate = true}),
-              safe_solution_with(session));
+              safe_solution(instance));
   }
 }
 
@@ -253,7 +268,7 @@ TEST(DedupDistributedAveraging, ExactScatterBitwiseEqual) {
   const Instance instance = make_grid_instance({.dims = {6, 6}, .torus = true});
   engine::Session session(instance);
   const std::vector<double> off =
-      distributed_local_averaging_with(session, {.R = 1});
+      distributed_local_averaging(instance, {.R = 1});
   const std::vector<double> on = distributed_local_averaging_with(
       session, {.R = 1, .deduplicate = true});
   EXPECT_EQ(on, off);
@@ -264,8 +279,8 @@ TEST(DedupDistributedAveraging, ExactScatterBitwiseEqual) {
 TEST(DedupAveraging, ObliviousModeMatchesToo) {
   const Instance instance = make_random_instance({.num_agents = 50, .seed = 13});
   engine::Session session(instance);
-  const LocalAveragingResult off = local_averaging_with(
-      session, {.R = 1, .collaboration_oblivious = true});
+  const LocalAveragingResult off =
+      local_averaging(instance, {.R = 1, .collaboration_oblivious = true});
   const LocalAveragingResult on = local_averaging_with(
       session,
       {.R = 1, .collaboration_oblivious = true, .deduplicate = true});

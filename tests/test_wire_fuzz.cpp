@@ -38,6 +38,7 @@ const std::vector<std::string>& seed_lines() {
       R"({"algorithm": "safe", "threads": 2})",
       R"({"algorithm": "averaging", "deadline_ms": 250})",
       R"({"algorithm": "selfstab-safe", "fault_plan": "s7;0:drop:3:5;1:crash:2"})",
+      R"({"algorithm": "averaging", "R": 1, "collaboration_oblivious": true})",
   };
   return lines;
 }

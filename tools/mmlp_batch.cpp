@@ -6,9 +6,11 @@
 // The session caches balls/growth sets/worker scratch across requests,
 // so request #2..#N on the same radius pay only for the algorithm
 // proper — the cache_build_ms field of each result line shows exactly
-// what the request paid for.
+// what the request paid for. Safe, averaging and distributed-averaging
+// also keep their answer in the session: a repeat with no update in
+// between re-solves nothing (diagnostics.incremental = 1).
 //
-//   # two averaging solves; the second is warm
+//   # two averaging solves; the second is a memo hit
 //   printf '{"algorithm": "averaging"}\n%.0s' 1 2 |
 //     mmlp_batch --generate grid_torus --agents 10000
 //
@@ -18,11 +20,13 @@
 // Request/response wire format: src/mmlp/engine/wire.hpp. Lines with
 // "op": "update" are routed through Session::apply, which edits the
 // instance in place and surgically repairs the session caches — so a
-// hot batch can interleave edits with (incremental) solves:
+// hot batch can interleave edits with solves, and each solve re-solves
+// only the dirty region of the edits since the previous one (the
+// "incremental" key is accepted and ignored):
 //
-//   {"algorithm": "averaging", "incremental": true, "id": 1}
+//   {"algorithm": "averaging", "id": 1}
 //   {"op": "update", "set_usage": [{"i": 5, "v": 9, "a": 0.25}], "id": 2}
-//   {"algorithm": "averaging", "incremental": true, "id": 3}
+//   {"algorithm": "averaging", "id": 3}
 //
 // {"op": "stats"} lines answer with the process observability state
 // (session caches, per-worker pool activity, obs::Registry metrics);
